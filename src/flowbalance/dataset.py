@@ -11,6 +11,7 @@ the same host pair.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -94,7 +95,7 @@ class Dataset:
     """Immutable feature matrix plus binary labels.
 
     Attributes:
-        features: (n, d) float matrix.
+        features: (n, d) matrix of finite floats.
         labels: length-n vector of {0, 1}.
         feature_names: d unique column names.
     """
@@ -108,6 +109,8 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ParameterError("features must be a non-empty 2-D matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ParameterError("features must be finite (no NaN or inf)")
         if labels.shape != (feats.shape[0],):
             raise ParameterError("labels must be a vector matching the row count")
         if not np.all((labels == 0) | (labels == 1)):
@@ -415,15 +418,16 @@ def load_csv(
 ) -> Dataset:
     """Load a flow CSV with a header row into a Dataset.
 
-    All non-label columns must parse as reals and become features in file
-    order. With ``slow_threshold`` set, labels are derived from the
+    All non-label columns must parse as finite reals and become features
+    in file order. With ``slow_threshold`` set, labels are derived from the
     ``tput`` column (tput below the threshold means slow, label 1) and any
     label column present is ignored; otherwise ``label_column`` must
     exist and hold 0/1 values.
 
     Raises:
         SchemaError: required column missing.
-        ParseError: a cell failed to parse (includes row and column).
+        ParseError: a cell failed to parse or is not finite (includes row
+            and column).
         EmptyDatasetError: the file has no data rows.
     """
     path = Path(path)
@@ -460,9 +464,12 @@ def load_csv(
             raise ParseError("row has wrong field count", i, header[min(len(row), len(header) - 1)])
         for jj, col in enumerate(feature_cols):
             try:
-                features[i, jj] = float(row[col])
+                value = float(row[col])
             except ValueError:
                 raise ParseError(f"cannot parse {row[col]!r} as a real", i, header[col]) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{row[col]!r} is not a finite real", i, header[col])
+            features[i, jj] = value
         if slow_threshold is None:
             cell = row[columns[label_column]]
             try:

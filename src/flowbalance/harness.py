@@ -421,6 +421,11 @@ def _enumerate_cells(config: ExperimentConfig) -> list[Cell]:
     return cells
 
 
+# What a cell may fail with without sinking the run: a typed rejection from
+# the package and numeric breakdowns. Anything else is a bug and propagates.
+CELL_FAILURES = (FlowBalanceError, FloatingPointError, np.linalg.LinAlgError)
+
+
 def _run_cell(cell: Cell, ctx: _ExperimentContext, best_params: dict) -> CellResult:
     try:
         feats, labels, origin = ctx.augmented(cell.method, cell.ir, cell.seed)
@@ -439,7 +444,7 @@ def _run_cell(cell: Cell, ctx: _ExperimentContext, best_params: dict) -> CellRes
         return CellResult(
             cell, float(f1), int(feats.shape[0]), int(np.sum(origin == 2))
         )
-    except Exception as exc:  # noqa: BLE001 - cell failures must not sink the run
+    except CELL_FAILURES as exc:
         return CellResult(cell, None, 0, 0, error=f"{type(exc).__name__}: {exc}")
 
 

@@ -1,8 +1,14 @@
 """Exact k-nearest-neighbor queries on standardized features.
 
-Every neighbor-based oversampler shares this machinery. Search is exact
-(a full distance scan), which keeps desk-scale runs fast enough and makes
-brute-force test oracles trivial. Distances are Euclidean in z-scored
+Every neighbor search in the package (the oversamplers and the
+nearest-neighbor editing passes) runs through one engine, ``_knn_block``.
+Its answer is defined by naive arithmetic: the squared distance between
+two rows is the sum of their squared coordinate differences, and neighbors
+rank by (that distance, row index), so ties break toward the lower index.
+The engine reaches that answer without a naive scan of every pair: a BLAS
+product of the expanded form |q|^2 - 2 q.s + |s|^2 narrows each query to
+the rows that a rounding bound cannot rule out, and only those are
+re-ranked with the naive formula. Distances are Euclidean in z-scored
 space by default; a raw-space view is available for comparison.
 """
 
@@ -49,12 +55,23 @@ class NeighborQuery:
             raise ParameterError(f"unknown scope {self.scope!r}")
 
 
-def standardize(dataset: Dataset, raw: bool = False) -> StandardizedView:
-    """Z-score a dataset with population statistics.
+def zscore(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(means, stds, scaled) of a matrix under population statistics.
 
     Columns whose standard deviation falls below ``STD_FLOOR`` are treated
-    as constant and scaled by 1, so they map to all zeros. With ``raw``
-    the view keeps the original coordinates (identity scaling).
+    as constant and scaled by 1, so they map to all zeros.
+    """
+    means = features.mean(axis=0)
+    stds = features.std(axis=0)
+    stds = np.where(stds <= STD_FLOOR, 1.0, stds)
+    return means, stds, (features - means) / stds
+
+
+def standardize(dataset: Dataset, raw: bool = False) -> StandardizedView:
+    """Z-score a dataset with population statistics (see :func:`zscore`).
+
+    With ``raw`` the view keeps the original coordinates (identity
+    scaling).
     """
     if dataset.n < 2:
         raise ParameterError("standardize needs at least 2 rows")
@@ -62,39 +79,11 @@ def standardize(dataset: Dataset, raw: bool = False) -> StandardizedView:
         means = np.zeros(dataset.d)
         stds = np.ones(dataset.d)
         return StandardizedView(dataset, means, stds, dataset.features)
-    means = dataset.features.mean(axis=0)
-    stds = dataset.features.std(axis=0)
-    stds = np.where(stds <= STD_FLOOR, 1.0, stds)
-    scaled = (dataset.features - means) / stds
-    return StandardizedView(dataset, means, stds, scaled)
+    return StandardizedView(dataset, *zscore(dataset.features))
 
 
-def _exact_topk(dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ties broken by ascending index.
-
-    Rows are laid out in index order, so a stable sort on distance alone
-    realizes the tie rule.
-    """
-    n = dists.shape[-1]
-    if n <= 2048 or k * 4 >= n:
-        order = np.argsort(dists, axis=-1, kind="stable")
-        return order[..., :k]
-    # argpartition then verify the boundary is strict; fall back per row
-    pad = min(n - 1, k + 32)
-    part = np.argpartition(dists, pad, axis=-1)[..., : pad + 1]
-    part_d = np.take_along_axis(dists, part, axis=-1)
-    # stable order inside the candidate set: sort by (distance, index)
-    sub = np.lexsort((part, part_d), axis=-1)
-    cand = np.take_along_axis(part, sub, axis=-1)
-    cand_d = np.take_along_axis(part_d, sub, axis=-1)
-    out = cand[..., :k]
-    unsafe = cand_d[..., k - 1] >= cand_d[..., -1]
-    if np.any(unsafe):
-        rows = np.nonzero(unsafe)
-        for idx in zip(*rows):
-            full = np.argsort(dists[idx], kind="stable")
-            out[idx] = full[:k]
-    return out
+# float64 elements of one query chunk's (chunk, scope) distance block
+BLOCK_ELEMENTS = 1 << 17
 
 
 def _knn_block(
@@ -104,32 +93,69 @@ def _knn_block(
     k: int,
     exclude: np.ndarray | None = None,
 ) -> np.ndarray:
-    """k nearest scope rows for each query point, vectorized in chunks.
+    """k nearest scope rows for each query point, ranked by (d2, index).
 
-    Distances are squared differences summed over features, the same
-    arithmetic as the naive per-pair formula, so rows that tie under the
-    naive computation tie here too and the ascending-index rule applies
-    identically. The faster expanded form (|s|^2 - 2 q.s + |q|^2) rounds
-    differently and can turn a near-tie into a spurious exact tie.
+    ``d2`` is the naive squared distance, ``sum((q - s) ** 2)`` over the
+    features, and ties break toward the lower row index. Per query chunk:
+
+    1. BLAS computes the expanded form ``|q|^2 - 2 q.s + |s|^2`` against
+       every scope row.
+    2. Every scope row with ``approx <= kth_approx + 2 * tol`` becomes a
+       candidate, where ``kth_approx`` is the query's k-th smallest
+       expanded distance and ``tol = 2 (d + 4) eps (|q| + max|s|)^2``.
+    3. The candidates' naive distances are computed and ranked.
+
+    Both forms are within ``(d + 2) eps (|q| + |s|)^2 / 2`` of the exact
+    distance (Higham's bound for dot products and sums of d terms), so
+    ``tol`` bounds their gap with a factor of two to spare. The k rows
+    with the smallest expanded distances have naive distances at most
+    ``kth_approx + tol``, hence so does every true top-k row, whose
+    expanded distance is then at most ``kth_approx + 2 * tol``. No true
+    neighbor is filtered out, and the result equals a full naive scan bit
+    for bit, exact ties included. Features must be finite.
 
     ``exclude`` holds, per query, one global row index to mask (normally
-    the query itself). Returns global row indices, shape (m, k).
+    the query itself). ``scope_idx`` must be ascending. Returns global row
+    indices, shape (m, k).
     """
     scope_pts = scaled[scope_idx]
     m = query_rows.shape[0]
     n_scope, d = scope_pts.shape
     out = np.empty((m, k), dtype=np.int64)
-    # keep the (chunk, n_scope, d) difference tensor around 32 MB
-    chunk = max(1, int(4e6) // max(1, n_scope * d))
+    sq_scope = np.einsum("ij,ij->i", scope_pts, scope_pts)
+    sq_query = np.einsum("ij,ij->i", query_rows, query_rows)
+    reach = np.sqrt(sq_query) + np.sqrt(sq_scope.max())
+    slack = 4.0 * (d + 4) * np.finfo(np.float64).eps * reach * reach  # 2 * tol
+    if exclude is not None:
+        col = np.minimum(np.searchsorted(scope_idx, exclude), n_scope - 1)
+        own = scope_idx[col] == exclude  # the excluded row is in scope
+    chunk = max(1, BLOCK_ELEMENTS // n_scope)
+    block = np.empty((min(chunk, m), n_scope))
+    rank = np.arange(k)
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
-        diff = query_rows[start:stop, None, :] - scope_pts[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
+        q = query_rows[start:stop]
+        approx = block[: stop - start]
+        np.matmul(q, scope_pts.T, out=approx)
+        approx *= -2.0
+        approx += sq_scope
+        approx += sq_query[start:stop, None]
         if exclude is not None:
-            hit = scope_idx[None, :] == exclude[start:stop, None]
-            d2[hit] = np.inf
-        picks = _exact_topk(d2, k)
-        out[start:stop] = scope_idx[picks]
+            rows = np.flatnonzero(own[start:stop])
+            cols = col[start:stop][rows]
+            approx[rows, cols] = np.inf
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        # "not above" keeps NaN entries: when magnitudes overflow, the
+        # slack is inf and every row goes to the naive re-rank
+        far = np.greater(approx, (kth + slack[start:stop])[:, None])
+        if exclude is not None:
+            far[rows, cols] = True
+        qi, si = np.divmod(np.flatnonzero(~far), n_scope)
+        diff = q[qi] - scope_pts[si]
+        d2 = (diff * diff).sum(axis=1)
+        order = np.lexsort((si, d2, qi))
+        first = np.searchsorted(qi, np.arange(stop - start))
+        out[start:stop] = scope_idx[si[order[first[:, None] + rank]]]
     return out
 
 

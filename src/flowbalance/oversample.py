@@ -31,7 +31,7 @@ from .errors import (
     NoBorderlineError,
     ParameterError,
 )
-from .neighbors import knn_table, standardize
+from .neighbors import _knn_block, knn_table, standardize, zscore
 
 ORIGIN_MAJORITY = 0
 ORIGIN_MINORITY = 1
@@ -243,12 +243,7 @@ def _combined_matrix(aug: AugmentedSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _standardize_matrix(feats: np.ndarray, standardized: bool) -> np.ndarray:
-    if not standardized:
-        return feats
-    means = feats.mean(axis=0)
-    stds = feats.std(axis=0)
-    stds = np.where(stds <= 1e-12, 1.0, stds)
-    return (feats - means) / stds
+    return zscore(feats)[2] if standardized else feats
 
 
 def enn_misclassified(
@@ -259,10 +254,7 @@ def enn_misclassified(
     Returns (misclassified row mask, neighbor table). Vote ties keep the
     row.
     """
-    n = scaled.shape[0]
-    from .neighbors import _knn_block  # shared exact search
-
-    idx = np.arange(n)
+    idx = np.arange(scaled.shape[0])
     neigh = _knn_block(scaled, scaled, idx, k, exclude=idx)
     opp = np.sum(labels[neigh] != labels[:, None], axis=1)
     removed = opp * 2 > k
@@ -297,25 +289,32 @@ def smote_enn(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
     return replace(aug, base_kept=kept[:n], synthetic_kept=kept[n:])
 
 
-def tomek_links(scaled: np.ndarray, labels: np.ndarray, alive: np.ndarray) -> np.ndarray:
+def tomek_links(
+    scaled: np.ndarray,
+    labels: np.ndarray,
+    alive: np.ndarray,
+    nearest: np.ndarray,
+) -> np.ndarray:
     """Cross-class mutual nearest-neighbor pairs among alive rows.
+
+    ``nearest`` carries every row's nearest alive neighbor from one call to
+    the next (-1 where not yet searched) and is updated in place. Only
+    alive rows whose recorded neighbor is unknown or no longer alive are
+    searched again: a neighbor that survived is still the nearest, lowest
+    index on ties, in the smaller alive set.
 
     Returns an array of (i, j) global index pairs with i < j.
     """
-    from .neighbors import _knn_block
-
     alive_idx = np.flatnonzero(alive)
     if alive_idx.size < 2:
         return np.empty((0, 2), dtype=np.int64)
-    nn = _knn_block(scaled, scaled[alive_idx], alive_idx, 1, exclude=alive_idx)[:, 0]
-    nearest = np.full(scaled.shape[0], -1, dtype=np.int64)
-    nearest[alive_idx] = nn
-    pairs = []
-    for i in alive_idx:
-        j = nearest[i]
-        if i < j and nearest[j] == i and labels[i] != labels[j]:
-            pairs.append((i, j))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    nn = nearest[alive_idx]
+    stale = alive_idx[(nn < 0) | ~alive[nn]]
+    if stale.size:
+        nearest[stale] = _knn_block(scaled, scaled[stale], alive_idx, 1, exclude=stale)[:, 0]
+    j = nearest[alive_idx]
+    link = (alive_idx < j) & (nearest[j] == alive_idx) & (labels[alive_idx] != labels[j])
+    return np.column_stack([alive_idx[link], j[link]])
 
 
 def smote_tomek(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
@@ -325,24 +324,25 @@ def smote_tomek(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet
     By default only the majority member is dropped; ``remove-both`` drops
     the pair. Removal repeats until no link remains among retained rows
     (dropping a member can expose a new mutual pair), with distances fixed
-    in the pre-edit standardized space.
+    in the pre-edit standardized space. The first round searches every
+    row's nearest neighbor; later rounds search again only for rows whose
+    nearest neighbor was just removed (see :func:`tomek_links`).
     """
     aug = smote(data, cfg, seed)
     feats, labels = _combined_matrix(aug)
     scaled = _standardize_matrix(feats, cfg.standardized_distances)
     alive = np.ones(feats.shape[0], dtype=bool)
+    nearest = np.full(feats.shape[0], -1, dtype=np.int64)
     while True:
-        pairs = tomek_links(scaled, labels, alive)
+        pairs = tomek_links(scaled, labels, alive, nearest)
         if pairs.size == 0:
             break
-        for i, j in pairs:
-            if not (alive[i] and alive[j]):
-                continue
-            if cfg.tomek_mode == "remove-both":
-                alive[i] = alive[j] = False
-            else:
-                drop = i if labels[i] == 0 else j
-                alive[drop] = False
+        # mutual nearest-neighbor pairs are disjoint, so one pass suffices
+        i, j = pairs.T
+        if cfg.tomek_mode == "remove-both":
+            alive[i] = alive[j] = False
+        else:
+            alive[np.where(labels[i] == 0, i, j)] = False
     n = data.n
     return replace(aug, base_kept=alive[:n], synthetic_kept=alive[n:])
 

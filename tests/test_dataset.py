@@ -277,6 +277,15 @@ class TestCsv:
         assert err.value.row == 1
         assert err.value.column == "b"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,0\n1.0,{cell},1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.row == 1
+        assert err.value.column == "b"
+
     def test_bad_label_value(self, tmp_path):
         path = tmp_path / "badlabel.csv"
         path.write_text("a,label\n1.0,2\n")
@@ -301,6 +310,12 @@ class TestDatasetType:
     def test_rejects_bad_labels(self):
         with pytest.raises(ParameterError):
             Dataset(np.ones((2, 2)), np.array([0, 2]), ("a", "b"))
+
+    def test_rejects_non_finite_features(self):
+        with pytest.raises(ParameterError):
+            Dataset(np.array([[np.nan, 1.0], [np.inf, 2.0]]), np.array([0, 1]), ("a", "b"))
+        with pytest.raises(ParameterError):
+            Dataset(np.array([[0.0, -np.inf], [1.0, 2.0]]), np.array([0, 1]), ("a", "b"))
 
     def test_features_are_readonly(self):
         ds = small_dataset([0, 1])

@@ -10,6 +10,7 @@ import pytest
 from flowbalance.cli import main
 from flowbalance.dataset import generate_flows, save_csv
 from flowbalance.errors import SchemaError
+from flowbalance.oversample import oversample
 from flowbalance.harness import (
     Cell,
     CellResult,
@@ -356,6 +357,23 @@ class TestRunExperimentEdges:
         assert all("Error" in r.error for r in failed)
         ok = [r for r in report.cells if r.error is None]
         assert ok
+
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch):
+        # a bug inside an oversampler must crash the run, not become a
+        # quietly failed cell. Only the first call (a cell's) fails, so a
+        # swallowed error would let the run finish normally.
+        calls = []
+
+        def broken_once(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 1:
+                raise IndexError("index 7 is out of bounds")
+            return oversample(*args, **kwargs)
+
+        monkeypatch.setattr("flowbalance.harness.oversample", broken_once)
+        cfg = small_config(tmp_path, methods=("none", "smote"), seeds=(0,))
+        with pytest.raises(IndexError):
+            run_experiment(cfg)
 
     def test_generative_method_end_to_end(self, tmp_path):
         cfg = small_config(

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowbalance.dataset import Dataset
 from flowbalance.errors import ParameterError
+from flowbalance import neighbors
 from flowbalance.neighbors import (
     NeighborQuery,
     knn,
@@ -11,6 +12,7 @@ from flowbalance.neighbors import (
     majority_count_in_knn,
     standardize,
 )
+from flowbalance.oversample import enn_misclassified
 
 
 def plain_dataset(features, labels=None):
@@ -152,6 +154,99 @@ class TestKnn:
             got = knn(view, int(i), NeighborQuery(k))
             want = brute_force_knn(view.scaled, int(i), scope, k)
             assert np.array_equal(got, want)
+
+
+def boundary_tie(scaled, i, k):
+    """Whether row i's k-th and (k+1)-th naive distances are equal."""
+    d = np.sort(np.sum((scaled - scaled[i]) ** 2, axis=1))[1:]  # drop self
+    return d[k - 1] == d[k]
+
+
+class TestLargeScope:
+    """Scopes above 2048 rows, on grids coarse enough for exact ties."""
+
+    N = 3000
+
+    def grid_data(self, seed, minority_frac=0.5):
+        rng = np.random.default_rng(seed)
+        feats = rng.integers(0, 40, size=(self.N, 2)).astype(np.float64)
+        labels = (rng.random(self.N) < minority_frac).astype(np.int64)
+        return plain_dataset(feats, labels), rng
+
+    @pytest.mark.parametrize("raw", [True, False])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_knn_table_matches_brute_force(self, raw, k):
+        ds, rng = self.grid_data(seed=k, minority_frac=0.8)
+        view = standardize(ds, raw=raw)
+        ties = 0
+        for scope in ("all", "minority"):
+            scope_idx = view.scope_indices(scope)
+            assert scope_idx.size > 2048
+            picks = np.sort(rng.choice(scope_idx, size=40, replace=False))
+            table = knn_table(view, picks, k, scope=scope)
+            for row, i in enumerate(picks):
+                want = brute_force_knn(view.scaled, int(i), scope_idx, k)
+                assert np.array_equal(table[row], want), f"{scope} row {i}"
+                ties += boundary_tie(view.scaled[scope_idx], int(np.searchsorted(scope_idx, i)), k)
+        assert ties > 0  # the grid really produces ties at the k-th place
+
+    def test_enn_misclassified_matches_brute_force(self):
+        ds, rng = self.grid_data(seed=11)
+        k = 5
+        removed, neigh = enn_misclassified(ds.features, ds.labels, k)
+        scope = np.arange(self.N)
+        for i in rng.choice(self.N, size=40, replace=False):
+            want = brute_force_knn(ds.features, int(i), scope, k)
+            assert np.array_equal(neigh[i], want), f"row {i}"
+            opp = np.sum(ds.labels[want] != ds.labels[i])
+            assert removed[i] == (opp * 2 > k)
+
+    @pytest.mark.parametrize("block", [1, 4000, 50_000])
+    def test_chunking_does_not_change_tables(self, monkeypatch, block):
+        ds, _ = self.grid_data(seed=2)
+        view = standardize(ds)
+        queries = np.arange(0, self.N, 7)
+        want = knn_table(view, queries, 4, scope="all")
+        monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", block)
+        assert np.array_equal(knn_table(view, queries, 4, scope="all"), want)
+
+
+class TestNearTiesAtLargeNorm:
+    """Rows a few ulps apart around 1e8: the expanded form |q|^2 - 2q.s +
+    |s|^2 rounds at about 4 there, far above the true distances, so only
+    the naive re-rank can order them."""
+
+    def cluster_data(self, n=400, seed=4):
+        rng = np.random.default_rng(seed)
+        base = 1e8
+        ulp = np.spacing(base)
+        cluster = rng.integers(0, 6, size=n)
+        steps = rng.integers(0, 8, size=(n, 2))
+        feats = (base + 1e4 * cluster)[:, None] + ulp * steps
+        labels = (rng.random(n) < 0.5).astype(np.int64)
+        return plain_dataset(feats, labels)
+
+    def test_expanded_form_alone_would_misorder(self):
+        x = self.cluster_data().features
+        sq = np.sum(x * x, axis=1)
+        wrong = 0
+        for i in range(40):
+            naive = np.sum((x - x[i]) ** 2, axis=1)
+            expanded = sq[i] - 2.0 * (x @ x[i]) + sq
+            naive[i] = expanded[i] = np.inf
+            wrong += not np.array_equal(
+                np.argsort(naive, kind="stable")[:5], np.argsort(expanded, kind="stable")[:5]
+            )
+        assert wrong > 0
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_raw_table_matches_brute_force(self, k):
+        view = standardize(self.cluster_data(), raw=True)
+        n = view.source.n
+        table = knn_table(view, np.arange(n), k, scope="all")
+        for i in range(n):
+            want = brute_force_knn(view.scaled, i, np.arange(n), k)
+            assert np.array_equal(table[i], want), f"row {i}"
 
 
 class TestMajorityCount:

@@ -10,7 +10,7 @@ from flowbalance.errors import (
     NoBorderlineError,
     ParameterError,
 )
-from flowbalance.neighbors import NeighborQuery, knn, standardize
+from flowbalance.neighbors import NeighborQuery, _knn_block, knn, standardize, zscore
 from flowbalance.oversample import (
     ORIGIN_MAJORITY,
     ORIGIN_MINORITY,
@@ -225,6 +225,26 @@ class TestSmoteEnn:
         got_kept = np.concatenate([edited.base_kept, edited.synthetic_kept])
         assert np.array_equal(got_kept, ~want_removed)
 
+    def test_raw_distances_at_large_norm_match_oracle(self):
+        # rows a few ulps apart around 1e8, where the expanded distance
+        # form rounds at about 4 and cannot order neighbors
+        rng = np.random.default_rng(9)
+        ulp = np.spacing(1e8)
+        labels = np.concatenate([np.zeros(150), np.ones(60)]).astype(np.int64)
+        cluster = rng.integers(0, 3, size=labels.size)
+        steps = rng.integers(0, 12, size=(labels.size, 2)) + 6 * labels[:, None]
+        feats = (1e8 + 1e4 * cluster)[:, None] + ulp * steps
+        data = Dataset(feats, labels, ("a", "b"))
+        cfg = OversampleConfig(k=5, standardized_distances=False)
+        plain = smote(data, cfg, seed=4)
+        combined = np.vstack([plain.base.features, plain.synthetic])
+        combined_labels = np.concatenate([labels, np.ones(len(plain.synthetic), dtype=np.int64)])
+        want_removed = brute_force_enn_removed(combined, combined_labels, cfg.k, standardized=False)
+        edited = smote_enn(data, cfg, seed=4)
+        got_kept = np.concatenate([edited.base_kept, edited.synthetic_kept])
+        assert want_removed.any()
+        assert np.array_equal(got_kept, ~want_removed)
+
     def test_paper_literal_also_drops_voters(self):
         data = overlap_dataset()
         standard = smote_enn(data, OversampleConfig(k=5), seed=7)
@@ -270,6 +290,40 @@ def exhaustive_tomek_scan(feats, labels, kept):
         if i < j and nearest[j] == i and labels[i] != labels[j]:
             links.append((i, j))
     return links
+
+
+def full_rescan_tomek(data, cfg, seed):
+    """Reference cleaning loop: every round searches every alive row's
+    nearest neighbor again and walks the links one pair at a time.
+
+    Returns (kept mask over base then synthetic rows, removal rounds).
+    """
+    aug = smote(data, cfg, seed)
+    feats = np.vstack([aug.base.features, aug.synthetic])
+    labels = np.concatenate([aug.base.labels, np.ones(len(aug.synthetic), dtype=np.int64)])
+    scaled = zscore(feats)[2] if cfg.standardized_distances else feats
+    alive = np.ones(len(feats), dtype=bool)
+    rounds = 0
+    while True:
+        alive_idx = np.flatnonzero(alive)
+        nn = _knn_block(scaled, scaled[alive_idx], alive_idx, 1, exclude=alive_idx)[:, 0]
+        nearest = np.full(len(feats), -1)
+        nearest[alive_idx] = nn
+        pairs = []
+        for i in alive_idx:
+            j = nearest[i]
+            if i < j and nearest[j] == i and labels[i] != labels[j]:
+                pairs.append((i, j))
+        if not pairs:
+            return alive, rounds
+        rounds += 1
+        for i, j in pairs:
+            if not (alive[i] and alive[j]):
+                continue
+            if cfg.tomek_mode == "remove-both":
+                alive[i] = alive[j] = False
+            else:
+                alive[i if labels[i] == 0 else j] = False
 
 
 class TestSmoteTomek:
@@ -319,6 +373,19 @@ class TestSmoteTomek:
             ])
             kept = np.concatenate([cleaned.base_kept, cleaned.synthetic_kept])
             assert exhaustive_tomek_scan(feats, labels, kept) == []
+
+    @pytest.mark.parametrize("mode", ["remove-majority", "remove-both"])
+    def test_incremental_rounds_match_full_rescans(self, mode):
+        rounds = []
+        for seed in range(4):
+            data = make_blob_dataset(60, 240, d=3, spread=1.0, gap=1.0, seed=seed)
+            for standardized in (True, False):
+                cfg = OversampleConfig(k=5, tomek_mode=mode, standardized_distances=standardized)
+                want, n_rounds = full_rescan_tomek(data, cfg, seed)
+                got = smote_tomek(data, cfg, seed)
+                assert np.array_equal(np.concatenate([got.base_kept, got.synthetic_kept]), want)
+                rounds.append(n_rounds)
+        assert max(rounds) >= 2  # some runs needed rounds after the first
 
     def test_minority_rows_survive_majority_mode(self):
         data = overlap_dataset()
