@@ -37,14 +37,12 @@ def main() -> int:
     parser.add_argument("--preset", choices=sorted(PRESETS), default="quick")
     parser.add_argument("--classifiers", nargs="*", default=["tree", "forest", "boost"])
     parser.add_argument("--irs", nargs="*", type=float, default=[0.5, 0.1])
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     config = ExperimentConfig(
         out_dir=args.out,
         classifiers=tuple(args.classifiers),
         train_irs=tuple(args.irs),
-        workers=args.workers,
         **PRESETS[args.preset],
     )
     t0 = time.monotonic()

@@ -1,7 +1,7 @@
 """Class-imbalance mitigation for slow network transfer prediction.
 
-Submodules: ``dataset`` (flow records, sampling schemes, a synthetic
-generator), ``neighbors`` (exact standardized kNN), ``oversample``
+Submodules: ``dataset`` (the Dataset type, CSV I/O, sampling schemes, a
+synthetic generator), ``neighbors`` (exact standardized kNN), ``oversample``
 (interpolation-based minority augmentation), ``mixtures``/``gan``/``nets``
 (mode encodings and adversarial generators with manual backprop),
 ``trees`` (CART, forest, boosting), ``evaluate`` (F1, KS, t-SNE), and

@@ -29,16 +29,18 @@ from .dataset import (
 )
 from .errors import FlowBalanceError
 from .evaluate import f1_score
-from .gan import GanConfig, train_ctgan, train_gan
+from .gan import GanConfig
 from .harness import (
     ExperimentConfig,
     GENERATIVE_METHODS,
     METHOD_ORDER,
+    balance_train_set,
     derive_seed,
     run_experiment,
+    train_generator,
     write_distribution_diagnostics,
 )
-from .oversample import OversampleConfig, oversample
+from .oversample import OversampleConfig
 from .trees import MODEL_KINDS, fit_model
 
 
@@ -53,26 +55,13 @@ def _add_label_flags(p: argparse.ArgumentParser) -> None:
                    help="derive labels as tput < threshold instead of a label column")
 
 
-def _augment_to_arrays(data, method: str, seed: int, k: int, epochs: int):
-    """Balance the minority class with one method; returns row arrays."""
-    if method in GENERATIVE_METHODS:
-        part = partition(data)
-        minority = data.features[part.minority_idx]
-        cfg = GanConfig(epochs=epochs, seed=derive_seed(seed, 0))
-        if method == "gan":
-            model = train_gan(minority, cfg, data.feature_names)
-        else:
-            model = train_ctgan(minority, cfg, data.feature_names)
-        synth = model.sample(part.n_majority - part.n_minority, seed=derive_seed(seed, 1))
-        feats = np.vstack([data.features, synth])
-        labels = np.concatenate([data.labels, np.ones(synth.shape[0], dtype=np.int64)])
-        origin = np.concatenate([
-            np.where(data.labels == 1, 1, 0),
-            np.full(synth.shape[0], 2),
-        ]).astype(np.int64)
-        return feats, labels, origin
-    aug = oversample(method, data, OversampleConfig(k=k), seed)
-    return aug.features, aug.labels, aug.origin
+def _balanced(args, data: Dataset):
+    """``data`` balanced by ``args.method`` with seeds derived from ``args.seed``."""
+    if args.method not in GENERATIVE_METHODS:
+        return balance_train_set(args.method, data, OversampleConfig(k=args.k), args.seed)
+    cfg = GanConfig(epochs=args.epochs, seed=derive_seed(args.seed, 0))
+    model = train_generator(args.method, data, cfg)
+    return balance_train_set(args.method, data, None, derive_seed(args.seed, 1), model)
 
 
 def _cmd_gen_data(args) -> int:
@@ -99,9 +88,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_augment(args) -> int:
     data = _load_labeled_csv(args)
-    feats, labels, origin = _augment_to_arrays(
-        data, args.method, args.seed, args.k, args.epochs
-    )
+    feats, labels, origin = _balanced(args, data)
     save_csv(Dataset(feats, labels, data.feature_names), args.out, origin=origin)
     n_synth = int(np.sum(origin == 2))
     print(f"wrote {args.out} ({feats.shape[0]} rows, {n_synth} synthetic)")
@@ -145,8 +132,6 @@ def _cmd_experiment(args) -> int:
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if overrides:
         config = dataclasses.replace(config, **overrides)
     report = run_experiment(config)
@@ -167,9 +152,7 @@ def _cmd_diagnostics(args) -> int:
     data = _load_labeled_csv(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    feats, _, origin = _augment_to_arrays(
-        data, args.method, args.seed, args.k, args.epochs
-    )
+    feats, _, origin = _balanced(args, data)
     written = write_distribution_diagnostics(
         feats, origin, data.feature_names, out, args.seed, args.cap, args.method
     )
@@ -233,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", default=None, help="override output directory")
     p.add_argument("--seed", type=int, default=None, help="override the seed list")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("diagnostics", help="distribution diagnostics for one method")

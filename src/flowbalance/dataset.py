@@ -42,48 +42,6 @@ LABEL_COLUMN = "label"
 ORIGIN_COLUMN = "origin"
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """A single connection-level flow observation.
-
-    ``prev_*`` fields describe the previous connection of the same host
-    pair; ``size_ratio`` is the current-to-previous size ratio. The label
-    is 1 for a slow transfer and 0 for a normal one.
-    """
-
-    size: float
-    durat: float
-    tput: float
-    prev_tput: float
-    prev_size: float
-    prev_durat: float
-    prev_rtt_max: float
-    size_ratio: float
-    label: int
-
-    def to_row(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FLOW_FEATURES], dtype=float)
-
-    @classmethod
-    def from_row(cls, row: Sequence[float], label: int) -> "FlowRecord":
-        if len(row) != len(FLOW_FEATURES):
-            raise SchemaError(f"expected {len(FLOW_FEATURES)} features, got {len(row)}")
-        return cls(**dict(zip(FLOW_FEATURES, map(float, row))), label=int(label))
-
-    def validate(self) -> None:
-        values = self.to_row()
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("flow record contains non-finite values")
-        if self.size < 0:
-            raise ParameterError("size must be non-negative")
-        if self.durat <= 0:
-            raise ParameterError("durat must be positive")
-        if abs(self.tput - self.size / self.durat) > 1e-9 * max(abs(self.tput), 1.0):
-            raise ParameterError("tput is inconsistent with size / durat")
-        if self.label not in (0, 1):
-            raise ParameterError("label must be 0 or 1")
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False

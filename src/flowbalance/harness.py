@@ -10,8 +10,9 @@ test pool. A baseline cell (method none at ratio 1:1) is always included
 because every comparison in the report is against it.
 
 Determinism is the central design constraint: each stage derives its seed
-from the cell coordinates, so results do not depend on execution order or
-worker count, and every emitted byte is a pure function of the config.
+from the cell coordinates, so results do not depend on the order in which
+stages run, and every emitted byte is a pure function of the config's
+content (the output directory is not part of it).
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DEFAULT_PROFILE, Dataset, generate_flows, load_csv
+from .dataset import DEFAULT_PROFILE, Dataset, generate_flows, load_csv, partition
 from .errors import FlowBalanceError, ParameterError, SchemaError
 from .evaluate import f1_score, ks_report, tsne, write_csv
 from .gan import GanConfig, train_ctgan, train_gan
@@ -83,7 +83,6 @@ class DataConfig:
 class ExperimentConfig:
     out_dir: str
     data: DataConfig = field(default_factory=DataConfig)
-    schemes: tuple[str, ...] = ()
     methods: tuple[str, ...] = METHOD_ORDER
     classifiers: tuple[str, ...] = ("tree", "forest", "boost")
     train_irs: tuple[float, ...] = (0.5, 0.1)
@@ -94,9 +93,7 @@ class ExperimentConfig:
     oversample: dict = field(default_factory=dict)
     gan: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
-    diagnostics_method: str | None = None
     tsne_cap: int = 450
-    workers: int = 1
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -122,15 +119,16 @@ class ExperimentConfig:
             raise SchemaError("need at least one imbalance ratio and one seed")
         if not 0.0 < self.test_fraction < 1.0:
             raise SchemaError("test_fraction must be in (0, 1)")
-        if self.workers < 1:
-            raise SchemaError("workers must be at least 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         return d
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of everything but ``out_dir``, which changes no output byte."""
+        content = self.to_dict()
+        del content["out_dir"]
+        canon = json.dumps(content, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     @classmethod
@@ -146,7 +144,7 @@ class ExperimentConfig:
             if data_unknown:
                 raise SchemaError(f"unknown data keys: {sorted(data_unknown)}")
             raw["data"] = DataConfig(**raw["data"])
-        for key in ("schemes", "methods", "classifiers"):
+        for key in ("methods", "classifiers"):
             if key in raw:
                 raw[key] = tuple(raw[key])
         for key in ("train_irs",):
@@ -219,156 +217,98 @@ DEFAULT_GRIDS: dict[str, tuple[tuple[str, tuple], ...]] = {
 }
 
 
-class _ExperimentContext:
-    """Shared, lazily built state behind the cell runs.
+def _population(data: DataConfig, seed: int) -> Dataset:
+    if data.source == "csv":
+        return load_csv(data.csv_path, data.label_column, data.slow_threshold)
+    profile = dataclasses.replace(DEFAULT_PROFILE, **{
+        k: tuple(tuple(m) for m in v) if k == "size_modes" else v
+        for k, v in data.profile.items()
+    })
+    return generate_flows(data.n_total, data.population_ir, seed, profile)
 
-    Everything is memoized under one lock; the memo keys embed only cell
-    coordinates, so concurrent execution cannot change any value, just the
-    order in which values first appear.
+
+def _split_pools(config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
+    """(train pool, test pool): a stratified split of the seed's population."""
+    population = _population(config.data, derive_seed(seed, _SPLIT, 0))
+    rng = np.random.default_rng(derive_seed(seed, _SPLIT, 1))
+    test_mask = np.zeros(population.n, dtype=bool)
+    for cls in (0, 1):
+        members = np.flatnonzero(population.labels == cls)
+        n_test = int(round(members.size * config.test_fraction))
+        picked = rng.choice(members, size=n_test, replace=False)
+        test_mask[picked] = True
+    train_pool = population.subset(np.flatnonzero(~test_mask))
+    test_pool = population.subset(np.flatnonzero(test_mask))
+    return train_pool, test_pool
+
+
+def _draw_train_set(
+    config: ExperimentConfig, pools: tuple[Dataset, Dataset], ir: float, seed: int
+) -> Dataset:
+    pool, _ = pools
+    m = config.train_minority
+    n_maj = int(round(m / ir))
+    minority = np.flatnonzero(pool.labels == 1)
+    majority = np.flatnonzero(pool.labels == 0)
+    if minority.size < m:
+        raise ParameterError(f"train pool has {minority.size} minority rows, need {m}")
+    if majority.size < n_maj:
+        raise ParameterError(f"train pool has {majority.size} majority rows, need {n_maj}")
+    # the minority draw must not depend on ir so generative models
+    # trained on it can be reused across the sweep
+    rng_min = np.random.default_rng(derive_seed(seed, _MINORITY))
+    rng_maj = np.random.default_rng(derive_seed(seed, _MAJORITY, _ir_int(ir)))
+    pick_min = np.sort(rng_min.choice(minority, size=m, replace=False))
+    pick_maj = np.sort(rng_maj.choice(majority, size=n_maj, replace=False))
+    return pool.subset(np.concatenate([pick_min, pick_maj]))
+
+
+def _draw_test_set(pools: tuple[Dataset, Dataset], seed: int) -> Dataset:
+    _, pool = pools
+    minority = np.flatnonzero(pool.labels == 1)
+    majority = np.flatnonzero(pool.labels == 0)
+    n = min(minority.size, majority.size)
+    if n == 0:
+        raise ParameterError("test pool lost one of the classes")
+    rng = np.random.default_rng(derive_seed(seed, _TEST))
+    pick_min = np.sort(rng.choice(minority, size=n, replace=False))
+    pick_maj = np.sort(rng.choice(majority, size=n, replace=False))
+    return pool.subset(np.concatenate([pick_min, pick_maj]))
+
+
+def train_generator(method: str, train: Dataset, cfg: GanConfig):
+    """Fit the ``gan`` or ``ctgan`` generator on the minority rows of ``train``."""
+    minority = train.features[partition(train).minority_idx]
+    fit = train_gan if method == "gan" else train_ctgan
+    return fit(minority, cfg, train.feature_names)
+
+
+def balance_train_set(
+    method: str, train: Dataset, cfg: OversampleConfig | None, seed: int, generator=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features, labels, origin) of ``train`` balanced by ``method``.
+
+    ``none`` keeps the set as it is. A generative method stacks
+    ``generator.sample`` rows, drawn with ``seed``, onto it until the
+    classes are even; every other method goes through :func:`oversample`
+    with ``cfg`` and ``seed``. Origin tags rows 0 (majority), 1 (minority)
+    and 2 (synthetic).
     """
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.over_cfg = _make_oversample_config(config.oversample)
-        self.gan_cfg_base = _make_gan_config(config.gan)
-        # reentrant: makers call other memoized stages on the same thread
-        self._lock = threading.RLock()
-        self._pools: dict[int, tuple[Dataset, Dataset]] = {}
-        self._trains: dict[tuple[int, int], Dataset] = {}
-        self._tests: dict[int, Dataset] = {}
-        self._augmented: dict[tuple[str, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.generators: dict[tuple[str, int], object] = {}
-
-    def _memo(self, cache: dict, key, maker):
-        with self._lock:
-            if key not in cache:
-                cache[key] = maker()
-            return cache[key]
-
-    # -- data assembly ---------------------------------------------------
-
-    def _population(self, seed: int) -> Dataset:
-        cfg = self.config.data
-        if cfg.source == "csv":
-            return load_csv(cfg.csv_path, cfg.label_column, cfg.slow_threshold)
-        profile = dataclasses.replace(DEFAULT_PROFILE, **{
-            k: tuple(tuple(m) for m in v) if k == "size_modes" else v
-            for k, v in cfg.profile.items()
-        })
-        return generate_flows(cfg.n_total, cfg.population_ir, seed, profile)
-
-    def pools(self, seed: int) -> tuple[Dataset, Dataset]:
-        def make():
-            population = self._population(derive_seed(seed, _SPLIT, 0))
-            rng = np.random.default_rng(derive_seed(seed, _SPLIT, 1))
-            test_mask = np.zeros(population.n, dtype=bool)
-            for cls in (0, 1):
-                members = np.flatnonzero(population.labels == cls)
-                n_test = int(round(members.size * self.config.test_fraction))
-                picked = rng.choice(members, size=n_test, replace=False)
-                test_mask[picked] = True
-            train_pool = population.subset(np.flatnonzero(~test_mask))
-            test_pool = population.subset(np.flatnonzero(test_mask))
-            return train_pool, test_pool
-
-        return self._memo(self._pools, seed, make)
-
-    def train_set(self, ir: float, seed: int) -> Dataset:
-        def make():
-            pool, _ = self.pools(seed)
-            m = self.config.train_minority
-            n_maj = int(round(m / ir))
-            minority = np.flatnonzero(pool.labels == 1)
-            majority = np.flatnonzero(pool.labels == 0)
-            if minority.size < m:
-                raise ParameterError(
-                    f"train pool has {minority.size} minority rows, need {m}"
-                )
-            if majority.size < n_maj:
-                raise ParameterError(
-                    f"train pool has {majority.size} majority rows, need {n_maj}"
-                )
-            # the minority draw must not depend on ir so generative models
-            # trained on it can be reused across the sweep
-            rng_min = np.random.default_rng(derive_seed(seed, _MINORITY))
-            rng_maj = np.random.default_rng(derive_seed(seed, _MAJORITY, _ir_int(ir)))
-            pick_min = np.sort(rng_min.choice(minority, size=m, replace=False))
-            pick_maj = np.sort(rng_maj.choice(majority, size=n_maj, replace=False))
-            return pool.subset(np.concatenate([pick_min, pick_maj]))
-
-        return self._memo(self._trains, (_ir_int(ir), seed), make)
-
-    def test_set(self, seed: int) -> Dataset:
-        def make():
-            _, pool = self.pools(seed)
-            minority = np.flatnonzero(pool.labels == 1)
-            majority = np.flatnonzero(pool.labels == 0)
-            n = min(minority.size, majority.size)
-            if n == 0:
-                raise ParameterError("test pool lost one of the classes")
-            rng = np.random.default_rng(derive_seed(seed, _TEST))
-            pick_min = np.sort(rng.choice(minority, size=n, replace=False))
-            pick_maj = np.sort(rng.choice(majority, size=n, replace=False))
-            return pool.subset(np.concatenate([pick_min, pick_maj]))
-
-        return self._memo(self._tests, seed, make)
-
-    # -- augmentation ----------------------------------------------------
-
-    def generator(self, method: str, seed: int):
-        """Train (or fetch) the generative model for one (method, seed).
-
-        The minority rows are identical across the ir sweep by
-        construction, so the model is shared across ir cells.
-        """
-        def make():
-            train = self.train_set(self.config.train_irs[0], seed)
-            minority = train.features[train.labels == 1]
-            cfg = dataclasses.replace(
-                self.gan_cfg_base,
-                seed=derive_seed(seed, _GEN, METHOD_ORDER.index(method)),
-            )
-            if method == "gan":
-                return train_gan(minority, cfg, train.feature_names)
-            return train_ctgan(minority, cfg, train.feature_names)
-
-        return self._memo(self.generators, (method, seed), make)
-
-    def augmented(
-        self, method: str, ir: float, seed: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(features, labels, origin) of the balanced training set."""
-        def make():
-            train = self.train_set(ir, seed)
-            if method == "none":
-                origin = np.where(train.labels == 1, 1, 0).astype(np.int64)
-                return train.features, train.labels, origin
-            if method in GENERATIVE_METHODS:
-                n_min = int(np.sum(train.labels == 1))
-                n_maj = int(np.sum(train.labels == 0))
-                model = self.generator(method, seed)
-                synth = model.sample(
-                    n_maj - n_min,
-                    seed=derive_seed(seed, _GEN, METHOD_ORDER.index(method), _ir_int(ir)),
-                )
-                feats = np.vstack([train.features, synth])
-                labels = np.concatenate(
-                    [train.labels, np.ones(synth.shape[0], dtype=np.int64)]
-                )
-                origin = np.concatenate([
-                    np.where(train.labels == 1, 1, 0),
-                    np.full(synth.shape[0], 2),
-                ]).astype(np.int64)
-                return feats, labels, origin
-            aug = oversample(
-                method,
-                train,
-                self.over_cfg,
-                derive_seed(seed, _AUG, METHOD_ORDER.index(method), _ir_int(ir)),
-            )
-            return aug.features, aug.labels, aug.origin
-
-        return self._memo(self._augmented, (method, _ir_int(ir), seed), make)
+    if method == "none":
+        origin = np.where(train.labels == 1, 1, 0).astype(np.int64)
+        return train.features, train.labels, origin
+    if method in GENERATIVE_METHODS:
+        part = partition(train)
+        synth = generator.sample(part.n_majority - part.n_minority, seed=seed)
+        feats = np.vstack([train.features, synth])
+        labels = np.concatenate([train.labels, np.ones(synth.shape[0], dtype=np.int64)])
+        origin = np.concatenate([
+            np.where(train.labels == 1, 1, 0),
+            np.full(synth.shape[0], 2),
+        ]).astype(np.int64)
+        return feats, labels, origin
+    aug = oversample(method, train, cfg, seed)
+    return aug.features, aug.labels, aug.origin
 
 
 def _make_oversample_config(overrides: dict) -> OversampleConfig:
@@ -426,36 +366,81 @@ def _enumerate_cells(config: ExperimentConfig) -> list[Cell]:
 CELL_FAILURES = (FlowBalanceError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _run_cell(cell: Cell, ctx: _ExperimentContext, best_params: dict) -> CellResult:
+@dataclass(frozen=True)
+class _Failure:
+    """A stage's CELL_FAILURES exception, held in place of the stage's value."""
+
+    stage: str
+    exc: Exception
+
+
+def _attempt(stage: str, fn, *inputs):
+    """``fn(*inputs)``; the first failed input instead, if there is one.
+
+    Passing a failed input through gives every cell the error of the first
+    stage that failed on its path, and a failed stage runs only once
+    however many cells it feeds.
+    """
+    for value in inputs:
+        if isinstance(value, _Failure):
+            return value
     try:
-        feats, labels, origin = ctx.augmented(cell.method, cell.ir, cell.seed)
-        model_seed = derive_seed(
-            cell.seed,
-            _MODEL,
-            METHOD_ORDER.index(cell.method),
-            MODEL_KINDS.index(cell.classifier),
-            _ir_int(cell.ir),
-        )
-        model = fit_model(
-            cell.classifier, feats, labels, best_params[cell.classifier], model_seed
-        )
-        test = ctx.test_set(cell.seed)
-        f1 = f1_score(test.labels, model.predict(test.features))
-        return CellResult(
-            cell, float(f1), int(feats.shape[0]), int(np.sum(origin == 2))
-        )
+        return fn(*inputs)
     except CELL_FAILURES as exc:
-        return CellResult(cell, None, 0, 0, error=f"{type(exc).__name__}: {exc}")
+        return _Failure(stage, exc)
+
+
+def _fit_cell(cell: Cell, balanced: tuple, best_params: dict):
+    feats, labels, _ = balanced
+    model_seed = derive_seed(
+        cell.seed,
+        _MODEL,
+        METHOD_ORDER.index(cell.method),
+        MODEL_KINDS.index(cell.classifier),
+        _ir_int(cell.ir),
+    )
+    return fit_model(cell.classifier, feats, labels, best_params[cell.classifier], model_seed)
+
+
+def _test_f1(model, test: Dataset) -> float:
+    return float(f1_score(test.labels, model.predict(test.features)))
+
+
+def _run_cell(cell: Cell, balanced, test, best_params: dict) -> CellResult:
+    model = _attempt("fit", _fit_cell, cell, balanced, best_params)
+    f1 = _attempt("predict", _test_f1, model, test)
+    if isinstance(f1, _Failure):
+        error = f"{f1.stage}: {type(f1.exc).__name__}: {f1.exc}"
+        return CellResult(cell, None, 0, 0, error=error)
+    feats, _, origin = balanced
+    return CellResult(cell, f1, int(feats.shape[0]), int(np.sum(origin == 2)))
+
+
+def _diagnostics_method(config: ExperimentConfig) -> str | None:
+    candidates = [m for m in config.methods if m != "none"]
+    if not candidates:
+        return None
+    return "ctgan" if "ctgan" in candidates else candidates[0]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every cell, write all artifacts, return the assembled report."""
+    """Run every cell, write all artifacts, return the assembled report.
+
+    The grid search runs first, on the first seed's balanced baseline.
+    Then, seed by seed: the pools, the test set and each ratio's train
+    set; one generator per generative method; and for each (method,
+    ratio) one balanced set, whose classifiers are fitted and scored
+    before the next set is built.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = _ExperimentContext(config)
+    over_cfg = _make_oversample_config(config.oversample)
+    gan_cfg = _make_gan_config(config.gan)
 
     # hyperparameters come from the balanced baseline only, then get reused
-    baseline = ctx.train_set(1.0, config.seeds[0])
+    first_seed = config.seeds[0]
+    pools = _split_pools(config, first_seed)
+    baseline = _draw_train_set(config, pools, 1.0, first_seed)
     best_params: dict[str, dict] = {}
     grid_rows = {}
     for kind in config.classifiers:
@@ -465,7 +450,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             baseline.labels,
             grid,
             config.n_folds,
-            derive_seed(config.seeds[0], _GRID, MODEL_KINDS.index(kind)),
+            derive_seed(first_seed, _GRID, MODEL_KINDS.index(kind)),
         )
         best_params[kind] = result.best_params
         grid_rows[kind] = [
@@ -474,30 +459,67 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         ]
 
     cells = _enumerate_cells(config)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda c: _run_cell(c, ctx, best_params), cells))
-    else:
-        results = [_run_cell(c, ctx, best_params) for c in cells]
+    by_seed: dict[int, dict[tuple[str, int], list[Cell]]] = {}
+    for cell in cells:
+        key = (cell.method, _ir_int(cell.ir))
+        by_seed.setdefault(cell.seed, {}).setdefault(key, []).append(cell)
+    diag_key = (_diagnostics_method(config), _ir_int(config.train_irs[0]), config.seeds[-1])
+    diag_set = None
+    traces = {}
+    results: dict[Cell, CellResult] = {}
+    for seed, groups in by_seed.items():
+        if seed != first_seed:
+            pools = _attempt("train_set", _split_pools, config, seed)
+        test = _attempt("test_set", _draw_test_set, pools, seed)
+        trains = {_ir_int(1.0): baseline} if seed == first_seed else {}
+        for ir in (1.0, *config.train_irs):
+            if _ir_int(ir) not in trains:
+                trains[_ir_int(ir)] = _attempt("train_set", _draw_train_set, config, pools, ir, seed)
+
+        # the minority rows are identical across the ir sweep by
+        # construction, so one generator serves every ratio
+        generators = {}
+        for method in dict.fromkeys(config.methods):
+            if method in GENERATIVE_METHODS:
+                cfg = dataclasses.replace(
+                    gan_cfg, seed=derive_seed(seed, _GEN, METHOD_ORDER.index(method))
+                )
+                train = trains[_ir_int(config.train_irs[0])]
+                model = _attempt("generator", train_generator, method, train, cfg)
+                if not isinstance(model, _Failure):
+                    traces[method, seed] = model.trace
+                generators[method] = model
+
+        for (method, ir_key), group in groups.items():
+            tag = _GEN if method in GENERATIVE_METHODS else _AUG
+            aug_seed = derive_seed(seed, tag, METHOD_ORDER.index(method), ir_key)
+            balanced = _attempt(
+                "augment", balance_train_set, method, trains[ir_key], over_cfg, aug_seed,
+                generators.get(method),
+            )
+            if (method, ir_key, seed) == diag_key:
+                diag_set = balanced
+            for cell in group:
+                results[cell] = _run_cell(cell, balanced, test, best_params)
 
     artifacts: list[str] = []
     artifacts += _write_grid_artifacts(out, config, baseline, best_params, grid_rows)
     report = ExperimentReport(
         config_hash=config.config_hash(),
         version=_package_version(),
-        cells=tuple(results),
+        cells=tuple(results[cell] for cell in cells),
         best_params=best_params,
         artifacts=(),
     )
     artifacts += emit_f1_table(report, config, out)
     artifacts += emit_ir_sweep_plot(report, config, out)
-    artifacts += _write_loss_traces(out, config, ctx)
+    artifacts += _write_loss_traces(out, traces)
     try:
-        artifacts += emit_diagnostics(report, config, out, ctx)
+        artifacts += emit_diagnostics(report, config, out, diag_set, baseline.feature_names)
     except FlowBalanceError as exc:
         # diagnostics reuse a cell's augmentation; if that cell failed the
         # report must still complete with the failure flagged on the cell
-        print(f"diagnostics skipped: {exc}")
+        print(f"diagnostics skipped: {exc}", file=sys.stderr)
     artifacts.append("report.json")
     report = dataclasses.replace(report, artifacts=tuple(sorted(artifacts)))
     _write_report_json(out / "report.json", report, config)
@@ -611,7 +633,7 @@ def emit_ir_sweep_plot(
     """Median F1 against imbalance ratio, one line per method.
 
     Always writes the backing CSV; the chart needs at least two ratio
-    points and is skipped (with a console notice) otherwise.
+    points and is skipped (with a notice on stderr) otherwise.
     """
     out = Path(out)
     irs = sorted(set(_ir_int(ir) for ir in config.train_irs))
@@ -635,7 +657,8 @@ def emit_ir_sweep_plot(
     if len(irs) < 2 or not series:
         print(
             "ir sweep chart skipped: need at least two imbalance ratios "
-            "and one method with scores"
+            "and one method with scores",
+            file=sys.stderr,
         )
         return written
     svg = line_chart(
@@ -658,29 +681,27 @@ def emit_diagnostics(
     report: ExperimentReport,
     config: ExperimentConfig,
     out: Path,
-    ctx: _ExperimentContext,
+    balanced,
+    feature_names: tuple[str, ...],
 ) -> list[str]:
-    """Distribution diagnostics for one augmentation method.
+    """Distribution diagnostics of one balanced training set.
 
-    Uses the first configured ratio and the last seed: a KS table (real
-    minority vs synthetic, sorted by descending score), log-scale
-    histograms per feature split by row origin, and a t-SNE scatter of a
-    capped subsample colored by origin.
+    ``balanced`` is the set built for ``ctgan``, or else for the first
+    configured method other than ``none``, at the first configured ratio
+    and the last seed: a KS table (real minority vs synthetic, sorted by
+    descending score), log-scale histograms per feature split by row
+    origin, and a t-SNE scatter of a capped subsample colored by origin.
+    Raises the error that kept that set from being built.
     """
-    method = config.diagnostics_method
-    if method is None:
-        candidates = [m for m in config.methods if m != "none"]
-        if not candidates:
-            return []
-        method = "ctgan" if "ctgan" in candidates else candidates[0]
-    out = Path(out)
-    seed = config.seeds[-1]
-    ir = config.train_irs[0]
-    feats, _, origin = ctx.augmented(method, ir, seed)
-    names = ctx.train_set(ir, seed).feature_names
+    if balanced is None:
+        return []
+    if isinstance(balanced, _Failure):
+        raise balanced.exc
+    feats, _, origin = balanced
     stamp = f"config_hash={report.config_hash} version={report.version}"
     return write_distribution_diagnostics(
-        feats, origin, names, out, seed, config.tsne_cap, method, stamp
+        feats, origin, feature_names, Path(out), config.seeds[-1], config.tsne_cap,
+        _diagnostics_method(config), stamp,
     )
 
 
@@ -769,10 +790,10 @@ def write_distribution_diagnostics(
     return ["ks_report.csv", "histograms.csv", "embedding.csv", "embedding.svg"]
 
 
-def _write_loss_traces(out: Path, config: ExperimentConfig, ctx: _ExperimentContext) -> list[str]:
+def _write_loss_traces(out: Path, traces: dict) -> list[str]:
     names = []
-    for (method, seed), model in sorted(ctx.generators.items()):
+    for method, seed in sorted(traces):
         fname = f"loss_{method}_seed{seed}.csv"
-        model.trace.to_csv(out / fname)
+        traces[method, seed].to_csv(out / fname)
         names.append(fname)
     return names

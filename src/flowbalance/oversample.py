@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, partition, save_csv
+from .dataset import ClassPartition, Dataset, partition, save_csv
 from .errors import (
     DegenerateDensityError,
     DegenerateEditError,
@@ -31,7 +31,7 @@ from .errors import (
     NoBorderlineError,
     ParameterError,
 )
-from .neighbors import _knn_block, knn_table, standardize, zscore
+from .neighbors import StandardizedView, _knn_block, knn_table, standardize, zscore
 
 ORIGIN_MAJORITY = 0
 ORIGIN_MINORITY = 1
@@ -196,6 +196,12 @@ def danger_set(data: Dataset, cfg: OversampleConfig) -> np.ndarray:
     """
     part = partition(data)
     view = standardize(data, raw=not cfg.standardized_distances)
+    return _danger_rows(data, cfg, part, view)
+
+
+def _danger_rows(
+    data: Dataset, cfg: OversampleConfig, part: ClassPartition, view: StandardizedView
+) -> np.ndarray:
     if cfg.k >= data.n:
         raise ParameterError(f"k={cfg.k} must be smaller than the row count {data.n}")
     neigh = knn_table(view, part.minority_idx, cfg.k, scope="all")
@@ -220,11 +226,11 @@ def borderline_smote(data: Dataset, cfg: OversampleConfig, seed: int) -> Augment
     _check_minority(part.n_minority, cfg.k)
     target = _resolve_target(cfg, part.n_minority, part.n_majority)
     m = target - part.n_minority
-    danger = danger_set(data, cfg)
+    view = standardize(data, raw=not cfg.standardized_distances)
+    danger = _danger_rows(data, cfg, part, view)
     if danger.size == 0:
         raise NoBorderlineError("no minority point falls in the danger band")
     rng = np.random.default_rng(seed)
-    view = standardize(data, raw=not cfg.standardized_distances)
     neighbor_lists = knn_table(view, danger, cfg.k, scope="minority")
     synthetic, parents, neighbors, delta = _interpolate(
         data, danger, neighbor_lists, m, rng

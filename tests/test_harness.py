@@ -1,5 +1,6 @@
 """End-to-end tests of the experiment harness and the CLI."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -39,7 +40,6 @@ def small_config(out_dir, **overrides) -> ExperimentConfig:
         n_folds=3,
         grids={"tree": {"max_depth": [4]}},
         tsne_cap=60,
-        workers=1,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -67,8 +67,8 @@ class TestExperimentConfig:
             {"train_irs": (0.0,)},
             {"train_irs": (1.5,)},
             {"test_fraction": 1.0},
-            {"workers": 0},
             {"seeds": ()},
+            {"classifiers": ()},
         ],
     )
     def test_invalid_fields_rejected(self, bad):
@@ -198,7 +198,7 @@ class TestEmitters:
         written = emit_ir_sweep_plot(report, cfg, tmp_path)
         assert written == ["ir_sweep.csv"]
         assert not (tmp_path / "ir_sweep.svg").exists()
-        assert "skipped" in capsys.readouterr().out
+        assert "skipped" in capsys.readouterr().err
 
     def test_ir_sweep_csv_rows(self, tmp_path):
         cfg = small_config(tmp_path, methods=("none", "smote"))
@@ -316,6 +316,15 @@ class TestRunExperiment:
                 text = (out / name).read_text()
                 ET.fromstring(text[text.index("<svg") :])
 
+    def test_output_dir_does_not_change_bytes(self, smote_run, tmp_path):
+        cfg, _, out = smote_run
+        elsewhere = tmp_path / "elsewhere"
+        run_experiment(dataclasses.replace(cfg, out_dir=str(elsewhere)))
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in elsewhere.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (elsewhere / name).read_bytes(), name
+
     def test_rerun_is_byte_identical(self, smote_run):
         cfg, _, out = smote_run
         before = {
@@ -354,9 +363,39 @@ class TestRunExperimentEdges:
         assert failed
         assert all(r.cell.method == "smote" for r in failed)
         assert all(r.f1 is None for r in failed)
-        assert all("Error" in r.error for r in failed)
+        assert all(r.error.startswith("augment: InsufficientMinorityError: ") for r in failed)
         ok = [r for r in report.cells if r.error is None]
         assert ok
+
+    def test_failed_stage_runs_once_and_marks_what_it_feeds(self, tmp_path, monkeypatch):
+        # the 1:100 train set needs more majority rows than the pool holds;
+        # the generator trains on the first ratio's set, so it fails too
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return oversample(*args, **kwargs)
+
+        monkeypatch.setattr("flowbalance.harness.oversample", counted)
+        cfg = small_config(
+            tmp_path,
+            methods=("smote", "gan"),
+            classifiers=("tree", "forest"),
+            train_irs=(0.01, 0.5),
+            seeds=(0,),
+            grids={"tree": {"max_depth": [4]}, "forest": {"n_trees": [3], "max_depth": [4]}},
+        )
+        report = run_experiment(cfg)
+        assert len(report.cells) == 10
+        for r in report.cells:
+            key = (r.cell.method, r.cell.ir, r.cell.classifier)
+            if key[:2] in (("none", 1.0), ("smote", 0.5)):
+                assert r.error is None, key
+            else:
+                assert r.error.startswith("train_set: ParameterError: train pool has "), key
+        # one augmentation per (method, ratio, seed), not one per classifier
+        assert calls == ["smote"]
+        assert not any(name.startswith("loss_") for name in report.artifacts)
 
     def test_programming_errors_propagate(self, tmp_path, monkeypatch):
         # a bug inside an oversampler must crash the run, not become a
