@@ -217,24 +217,6 @@ def log_histogram_pair(
     return edges, real_counts, synth_counts
 
 
-def export_log_histograms(
-    real: np.ndarray,
-    synth: np.ndarray,
-    feature_names: tuple[str, ...],
-    path,
-    n_bins: int = 40,
-) -> None:
-    """One CSV of per-feature log-scale histograms on shared edges."""
-    rows = []
-    for j, name in enumerate(feature_names):
-        edges, rc, sc = log_histogram_pair(real[:, j], synth[:, j], n_bins)
-        for i in range(rc.size):
-            rows.append((name, edges[i], edges[i + 1], int(rc[i]), int(sc[i])))
-    write_csv(
-        path, ("feature", "bin_lo", "bin_hi", "real_count", "synthetic_count"), rows
-    )
-
-
 @dataclass(frozen=True)
 class EmbeddingResult:
     coords: np.ndarray  # (n, 2)

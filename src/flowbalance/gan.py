@@ -2,10 +2,10 @@
 
 Two trainers share one loop skeleton. ``train_gan`` works on min-max
 scaled features with a tanh generator head. ``train_ctgan`` works on the
-mode encoding from :mod:`flowbalance.mixtures`, gives the generator a
-mixed tanh/softmax head matching the encoding layout, and, when discrete
-columns exist, conditions both nets on a category vector drawn by
-log-frequency so rare categories still get gradient signal.
+mode encoding from :mod:`flowbalance.mixtures` and gives the generator a
+mixed tanh/softmax head matching the encoding layout. Flow features are
+all continuous, so neither trainer conditions its nets: the generator
+sees noise only and the discriminator sees encoded rows only.
 
 Both optimize the usual two-player value: the discriminator maximizes
 ``E[log D(x)] + E[log(1 - D(G(z)))]`` while the generator uses the
@@ -16,36 +16,18 @@ value on a fixed probe batch is logged every epoch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientMinorityError, ParameterError, TrainingDivergedError
-from .mixtures import (
-    ColumnSpan,
-    EncodingLayout,
-    MinMaxNormalizer,
-    Mixture1D,
-    ModeNormalizer,
-)
-from .nets import FeedforwardNet, MixedActivation, SgdMomentum
-
-SAVE_FORMAT_VERSION = 1
+from .mixtures import MinMaxNormalizer, ModeNormalizer
+from .nets import FeedforwardNet, MixedActivation, SgdMomentum, sigmoid
 
 
 def softplus(s: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, s)
-
-
-def sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s, dtype=np.float64)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    ez = np.exp(s[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass(frozen=True)
@@ -94,51 +76,6 @@ class LossTrace:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-class CondSampler:
-    """Draws one-hot condition vectors over the discrete columns.
-
-    A draw picks one discrete column uniformly, then one of its categories
-    with probability proportional to log(1 + count), so rare categories
-    are seen far more often than their raw frequency would allow.
-    """
-
-    def __init__(self, block_widths: tuple[int, ...], probs: tuple[np.ndarray, ...]):
-        if len(block_widths) != len(probs):
-            raise ParameterError("one probability vector per block is required")
-        self.block_widths = tuple(int(w) for w in block_widths)
-        self.probs = tuple(np.asarray(p, dtype=np.float64) for p in probs)
-        offsets = np.concatenate([[0], np.cumsum(self.block_widths)])
-        self.offsets = tuple(int(o) for o in offsets[:-1])
-        self.width = int(offsets[-1])
-
-    @classmethod
-    def from_counts(cls, counts: tuple[np.ndarray, ...]) -> "CondSampler":
-        probs = []
-        for c in counts:
-            mass = np.log1p(np.asarray(c, dtype=np.float64))
-            total = mass.sum()
-            if total <= 0:
-                raise ParameterError("a discrete column has no observed categories")
-            probs.append(mass / total)
-        return cls(tuple(len(c) for c in counts), tuple(probs))
-
-    def draw(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (cond matrix, block index, category index) for n rows."""
-        cond = np.zeros((n, self.width))
-        if self.width == 0:
-            return cond, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        block = rng.integers(0, len(self.block_widths), size=n)
-        cat = np.empty(n, dtype=np.int64)
-        for b, p in enumerate(self.probs):
-            mask = block == b
-            m = int(mask.sum())
-            if m:
-                cat[mask] = rng.choice(p.size, size=m, p=p)
-        cols = np.asarray(self.offsets)[block] + cat
-        cond[np.arange(n), cols] = 1.0
-        return cond, block, cat
-
-
 @dataclass
 class GeneratorModel:
     """A trained generator/discriminator pair plus its data encoding."""
@@ -149,7 +86,6 @@ class GeneratorModel:
     head: MixedActivation
     noise_dim: int
     normalizer: MinMaxNormalizer | ModeNormalizer
-    cond: CondSampler
     trace: LossTrace
     feature_names: tuple[str, ...]
 
@@ -157,157 +93,30 @@ class GeneratorModel:
         """Draw n synthetic rows on the original feature scale."""
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(n, self.noise_dim))
-        cond, _, _ = self.cond.draw(n, rng)
-        raw = self.head.forward(self.g_net.forward(np.hstack([z, cond])))
+        raw = self.head.forward(self.g_net.forward(z))
         if self.kind == "gan":
             return self.normalizer.inverse(raw)
         return self.normalizer.decode(raw, harden=True)
 
     def discriminator_prob(self, features: np.ndarray) -> np.ndarray:
-        """P(real) the discriminator assigns to rows on the original scale.
-
-        Only meaningful when no condition vector was used in training.
-        """
-        if self.cond.width != 0:
-            raise ParameterError(
-                "discriminator probabilities are only defined without conditioning"
-            )
+        """P(real) the discriminator assigns to rows on the original scale."""
         if self.kind == "gan":
             enc = self.normalizer.transform(features)
         else:
             enc = self.normalizer.encode(features)
         return sigmoid(self.d_net.forward(enc)[:, 0])
 
-    def save(self, path) -> None:
-        blob = {
-            "format_version": SAVE_FORMAT_VERSION,
-            "kind": self.kind,
-            "noise_dim": self.noise_dim,
-            "feature_names": list(self.feature_names),
-            "g_sizes": list(self.g_net.layer_sizes),
-            "g_weights": [w.tolist() for w in self.g_net.weights],
-            "g_biases": [b.tolist() for b in self.g_net.biases],
-            "d_sizes": list(self.d_net.layer_sizes),
-            "d_weights": [w.tolist() for w in self.d_net.weights],
-            "d_biases": [b.tolist() for b in self.d_net.biases],
-            "head": {
-                "tanh_cols": list(self.head.tanh_cols),
-                "softmax_blocks": [list(b) for b in self.head.softmax_blocks],
-            },
-            "cond": {
-                "block_widths": list(self.cond.block_widths),
-                "probs": [p.tolist() for p in self.cond.probs],
-            },
-            "normalizer": _encode_normalizer(self.normalizer),
-            "trace": [list(r) for r in self.trace.rows],
-        }
-        Path(path).write_text(json.dumps(blob))
-
-    @classmethod
-    def load(cls, path) -> "GeneratorModel":
-        blob = json.loads(Path(path).read_text())
-        version = blob.get("format_version")
-        if version != SAVE_FORMAT_VERSION:
-            raise ParameterError(f"unsupported model file version {version!r}")
-        g_net = _net_from_blob(blob["g_sizes"], blob["g_weights"], blob["g_biases"])
-        d_net = _net_from_blob(blob["d_sizes"], blob["d_weights"], blob["d_biases"])
-        head = MixedActivation(
-            tuple(blob["head"]["tanh_cols"]),
-            tuple(tuple(b) for b in blob["head"]["softmax_blocks"]),
-        )
-        cond = CondSampler(
-            tuple(blob["cond"]["block_widths"]),
-            tuple(np.asarray(p) for p in blob["cond"]["probs"]),
-        )
-        trace = LossTrace(
-            tuple((int(e), float(d), float(g), float(v)) for e, d, g, v in blob["trace"])
-        )
-        return cls(
-            kind=blob["kind"],
-            g_net=g_net,
-            d_net=d_net,
-            head=head,
-            noise_dim=int(blob["noise_dim"]),
-            normalizer=_decode_normalizer(blob["normalizer"]),
-            cond=cond,
-            trace=trace,
-            feature_names=tuple(blob["feature_names"]),
-        )
-
-
-def _net_from_blob(sizes, weights, biases) -> FeedforwardNet:
-    net = FeedforwardNet(tuple(int(s) for s in sizes), seed=0)
-    net.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-    net.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-    net.bump_version()
-    return net
-
-
-def _encode_normalizer(norm) -> dict:
-    if isinstance(norm, MinMaxNormalizer):
-        lo, span = norm._require_fit()
-        return {"type": "minmax", "lo": lo.tolist(), "span": span.tolist()}
-    layout = norm._require_fit()
-    spans = []
-    for s in layout.spans:
-        spans.append({
-            "name": s.name,
-            "kind": s.kind,
-            "alpha": s.alpha,
-            "beta": list(s.beta),
-            "mixture": None if s.mixture is None else {
-                "weights": s.mixture.weights.tolist(),
-                "means": s.mixture.means.tolist(),
-                "stds": s.mixture.stds.tolist(),
-            },
-            "categories": None if s.categories is None else list(s.categories),
-        })
-    return {
-        "type": "mode",
-        "max_modes": norm.max_modes,
-        "names": list(norm.feature_names),
-        "width": layout.width,
-        "spans": spans,
-    }
-
-
-def _decode_normalizer(blob: dict):
-    if blob["type"] == "minmax":
-        norm = MinMaxNormalizer()
-        norm.lo = np.asarray(blob["lo"], dtype=np.float64)
-        norm.span = np.asarray(blob["span"], dtype=np.float64)
-        return norm
-    norm = ModeNormalizer(max_modes=int(blob["max_modes"]))
-    spans = []
-    for s in blob["spans"]:
-        mix = None
-        if s["mixture"] is not None:
-            mix = Mixture1D(
-                np.asarray(s["mixture"]["weights"]),
-                np.asarray(s["mixture"]["means"]),
-                np.asarray(s["mixture"]["stds"]),
-                (),
-            )
-        cats = None if s["categories"] is None else tuple(s["categories"])
-        spans.append(
-            ColumnSpan(s["name"], s["kind"], s["alpha"], tuple(s["beta"]), mix, cats)
-        )
-    norm.layout = EncodingLayout(tuple(spans), int(blob["width"]))
-    norm._names = tuple(blob["names"])
-    return norm
-
 
 def _adversarial_loop(
     encoded: np.ndarray,
     head: MixedActivation,
-    cond: CondSampler,
-    row_pools: list[list[np.ndarray]],
+    *,
     config: GanConfig,
 ) -> tuple[FeedforwardNet, FeedforwardNet, LossTrace]:
     """The shared training loop over an already-encoded real matrix.
 
-    ``row_pools[block][cat]`` lists the real rows matching each condition
-    category; it is ignored when the condition width is zero.
+    ``config`` is keyword-only because the benchmark's span recorder
+    (``perfbench/spans.py``) reads it from the call's keywords.
     """
     n, width = encoded.shape
     if n < 2 * config.batch_size:
@@ -317,11 +126,11 @@ def _adversarial_loop(
         )
     rng = np.random.default_rng(config.seed)
     g_net = FeedforwardNet(
-        (config.noise_dim + cond.width, *config.hidden, width),
+        (config.noise_dim, *config.hidden, width),
         seed=int(rng.integers(2**31)),
     )
     d_net = FeedforwardNet(
-        (width + cond.width, *config.hidden, 1),
+        (width, *config.hidden, 1),
         seed=int(rng.integers(2**31)),
     )
     g_opt = SgdMomentum(g_net, config.lr, config.momentum)
@@ -331,22 +140,10 @@ def _adversarial_loop(
     probe_rows = rng.choice(n, size=probe_n, replace=False)
     probe_real = encoded[probe_rows]
     probe_z = rng.normal(size=(probe_n, config.noise_dim))
-    probe_cond, _, _ = cond.draw(probe_n, rng)
 
-    def real_batch(m: int) -> tuple[np.ndarray, np.ndarray]:
-        c, block, cat = cond.draw(m, rng)
-        if cond.width == 0:
-            rows = rng.integers(0, n, size=m)
-        else:
-            rows = np.empty(m, dtype=np.int64)
-            for i in range(m):
-                pool = row_pools[block[i]][cat[i]]
-                rows[i] = pool[rng.integers(0, pool.size)]
-        return encoded[rows], c
-
-    def generate(m: int, c: np.ndarray) -> np.ndarray:
+    def generate(m: int) -> np.ndarray:
         z = rng.normal(size=(m, config.noise_dim))
-        return head.forward(g_net.forward(np.hstack([z, c])))
+        return head.forward(g_net.forward(z))
 
     steps_per_epoch = max(1, -(-n // config.batch_size))
     trace_rows: list[tuple[int, float, float, float]] = []
@@ -356,34 +153,25 @@ def _adversarial_loop(
         for _ in range(steps_per_epoch):
             m = config.batch_size
             for _ in range(config.d_steps):
-                real, c = real_batch(m)
-                fake = generate(m, c)
-                stacked = np.vstack([np.hstack([real, c]), np.hstack([fake, c])])
-                scores = d_net.forward(stacked)[:, 0]
+                real = encoded[rng.integers(0, n, size=m)]
+                fake = generate(m)
+                scores = d_net.forward(np.vstack([real, fake]))[:, 0]
                 s_real, s_fake = scores[:m], scores[m:]
                 d_loss = float(np.mean(softplus(-s_real)) + np.mean(softplus(s_fake)))
                 dout = np.concatenate([-sigmoid(-s_real), sigmoid(s_fake)]) / m
                 d_opt.step(d_net.backward(dout[:, None]))
             d_sum += d_loss
 
-            c, _, _ = cond.draw(m, rng)
-            z = rng.normal(size=(m, config.noise_dim))
-            g_pre = g_net.forward(np.hstack([z, c]))
-            fake = head.forward(g_pre)
-            s_fake = d_net.forward(np.hstack([fake, c]))[:, 0]
+            fake = generate(m)
+            s_fake = d_net.forward(fake)[:, 0]
             g_loss = float(np.mean(softplus(-s_fake)))
             dout = (-sigmoid(-s_fake) / m)[:, None]
-            d_fake_full = d_net.backward(dout).inputs
-            d_fake = d_fake_full[:, :width]  # condition columns carry no G gradient
+            d_fake = d_net.backward(dout).inputs
             g_opt.step(g_net.backward(head.backward(d_fake)))
             g_sum += g_loss
 
-        probe_fake = head.forward(g_net.forward(np.hstack([probe_z, probe_cond])))
-        stacked = np.vstack([
-            np.hstack([probe_real, probe_cond]),
-            np.hstack([probe_fake, probe_cond]),
-        ])
-        scores = d_net.forward(stacked)[:, 0]
+        probe_fake = head.forward(g_net.forward(probe_z))
+        scores = d_net.forward(np.vstack([probe_real, probe_fake]))[:, 0]
         value = float(
             np.mean(-softplus(-scores[:probe_n])) + np.mean(-softplus(scores[probe_n:]))
         )
@@ -408,11 +196,10 @@ def train_gan(
     norm = MinMaxNormalizer().fit(features)
     encoded = norm.transform(features)
     head = MixedActivation(tanh_cols=tuple(range(encoded.shape[1])))
-    cond = CondSampler((), ())
-    g_net, d_net, trace = _adversarial_loop(encoded, head, cond, [], config)
+    g_net, d_net, trace = _adversarial_loop(encoded, head, config=config)
     names = feature_names or tuple(f"f{j}" for j in range(features.shape[1]))
     return GeneratorModel(
-        "gan", g_net, d_net, head, config.noise_dim, norm, cond, trace, names
+        "gan", g_net, d_net, head, config.noise_dim, norm, trace, names
     )
 
 
@@ -420,37 +207,22 @@ def train_ctgan(
     features: np.ndarray,
     config: GanConfig,
     feature_names: tuple[str, ...] = (),
-    discrete: tuple[str, ...] = (),
 ) -> GeneratorModel:
-    """Train a conditional GAN on the per-column mode encoding.
+    """Train a GAN on the per-column mode encoding.
 
-    Without discrete columns the condition vector is empty and this is a
-    GAN over the mode-encoded matrix with a layout-matched output head.
+    The generator's output head matches the encoding layout: tanh on each
+    column's offset and a softmax over each column's mode indicators.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 2:
         raise ParameterError("need a 2-D feature matrix with at least two rows")
     names = feature_names or tuple(f"f{j}" for j in range(features.shape[1]))
     rng = np.random.default_rng(config.seed)
-    norm = ModeNormalizer(max_modes=config.max_modes).fit(features, names, discrete)
+    norm = ModeNormalizer(max_modes=config.max_modes).fit(features, names)
     layout = norm.layout
     encoded = norm.encode(features, rng)
     head = MixedActivation(layout.tanh_cols, layout.softmax_blocks)
-
-    name_to_col = {nm: j for j, nm in enumerate(names)}
-    counts: list[np.ndarray] = []
-    row_pools: list[list[np.ndarray]] = []
-    for span in layout.discrete_spans:
-        col = features[:, name_to_col[span.name]]
-        cats = np.asarray(span.categories)
-        counts.append(np.asarray([np.sum(col == c) for c in cats]))
-        row_pools.append([np.flatnonzero(col == c) for c in cats])
-    if counts:
-        cond = CondSampler.from_counts(tuple(counts))
-    else:
-        cond = CondSampler((), ())
-
-    g_net, d_net, trace = _adversarial_loop(encoded, head, cond, row_pools, config)
+    g_net, d_net, trace = _adversarial_loop(encoded, head, config=config)
     return GeneratorModel(
-        "ctgan", g_net, d_net, head, config.noise_dim, norm, cond, trace, names
+        "ctgan", g_net, d_net, head, config.noise_dim, norm, trace, names
     )

@@ -4,9 +4,9 @@ The continuous columns of flow data are heavy-tailed and often multimodal,
 so a single min-max squash loses structure. This module fits a 1-D
 Gaussian mixture per column by EM (model size chosen by BIC, trace kept so
 monotone convergence can be asserted), then encodes each value as a
-bounded offset within its mode plus a one-hot mode indicator. Discrete
-columns become plain one-hot blocks. A simple [-1, 1] min-max normalizer
-is also provided for models that want a flat encoding.
+bounded offset within its mode plus a one-hot mode indicator. A simple
+[-1, 1] min-max normalizer is also provided for models that want a flat
+encoding.
 """
 
 from __future__ import annotations
@@ -157,16 +157,14 @@ def select_mixture(values: np.ndarray, max_modes: int = 10) -> Mixture1D:
 class ColumnSpan:
     """Where one source column lives inside the encoded matrix.
 
-    Continuous columns occupy one offset column (``alpha``) plus a one-hot
-    mode block; discrete columns occupy a one-hot category block only.
+    Each column occupies one offset column (``alpha``) plus a one-hot mode
+    block (``beta`` is its half-open column range).
     """
 
     name: str
-    kind: str  # "continuous" or "discrete"
-    alpha: int | None
+    alpha: int
     beta: tuple[int, int]
-    mixture: Mixture1D | None
-    categories: tuple[float, ...] | None
+    mixture: Mixture1D
 
 
 @dataclass(frozen=True)
@@ -176,15 +174,11 @@ class EncodingLayout:
 
     @property
     def tanh_cols(self) -> tuple[int, ...]:
-        return tuple(s.alpha for s in self.spans if s.alpha is not None)
+        return tuple(s.alpha for s in self.spans)
 
     @property
     def softmax_blocks(self) -> tuple[tuple[int, int], ...]:
         return tuple(s.beta for s in self.spans)
-
-    @property
-    def discrete_spans(self) -> tuple[ColumnSpan, ...]:
-        return tuple(s for s in self.spans if s.kind == "discrete")
 
 
 def _validate_onehot(block: np.ndarray, what: str) -> None:
@@ -197,10 +191,9 @@ def _validate_onehot(block: np.ndarray, what: str) -> None:
 
 
 class ModeNormalizer:
-    """Column-wise mode encoding for mixed continuous/discrete data.
+    """Column-wise mode encoding for continuous data.
 
-    ``fit`` learns a mixture per continuous column and the category set of
-    each discrete column. ``encode`` writes, per continuous value, the
+    ``fit`` learns a mixture per column. ``encode`` writes, per value, the
     offset ``alpha = (c - mu_k) / (4 sigma_k)`` within a chosen mode and a
     one-hot indicator of that mode; the mode is sampled from the posterior
     when an rng is given and taken as the argmax otherwise. ``decode``
@@ -213,42 +206,21 @@ class ModeNormalizer:
             raise ParameterError("max_modes must be at least 1")
         self.max_modes = max_modes
         self.layout: EncodingLayout | None = None
-        self._names: tuple[str, ...] = ()
 
     def fit(
-        self,
-        features: np.ndarray,
-        feature_names: tuple[str, ...],
-        discrete: tuple[str, ...] = (),
+        self, features: np.ndarray, feature_names: tuple[str, ...]
     ) -> "ModeNormalizer":
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != len(feature_names):
             raise ParameterError("features and feature_names disagree on width")
-        unknown = set(discrete) - set(feature_names)
-        if unknown:
-            raise ParameterError(f"discrete columns not in the data: {sorted(unknown)}")
         spans: list[ColumnSpan] = []
         offset = 0
         for j, name in enumerate(feature_names):
-            col = features[:, j]
-            if name in discrete:
-                cats = tuple(float(v) for v in np.unique(col))
-                width = len(cats)
-                spans.append(
-                    ColumnSpan(name, "discrete", None, (offset, offset + width), None, cats)
-                )
-                offset += width
-            else:
-                mix = select_mixture(col, self.max_modes)
-                k = mix.n_modes
-                spans.append(
-                    ColumnSpan(
-                        name, "continuous", offset, (offset + 1, offset + 1 + k), mix, None
-                    )
-                )
-                offset += 1 + k
+            mix = select_mixture(features[:, j], self.max_modes)
+            k = mix.n_modes
+            spans.append(ColumnSpan(name, offset, (offset + 1, offset + 1 + k), mix))
+            offset += 1 + k
         self.layout = EncodingLayout(tuple(spans), offset)
-        self._names = tuple(feature_names)
         return self
 
     def _require_fit(self) -> EncodingLayout:
@@ -266,29 +238,16 @@ class ModeNormalizer:
         rows = np.arange(n)
         for j, span in enumerate(layout.spans):
             col = features[:, j]
-            b0, b1 = span.beta
-            if span.kind == "continuous":
-                mix = span.mixture
-                resp = mix.responsibilities(col)
-                if rng is None:
-                    mode = np.argmax(resp, axis=1)
-                else:
-                    cum = np.cumsum(resp, axis=1)
-                    cum[:, -1] = 1.0
-                    mode = (cum > rng.random(n)[:, None]).argmax(axis=1)
-                out[:, span.alpha] = (col - mix.means[mode]) / (4.0 * mix.stds[mode])
-                out[rows, b0 + mode] = 1.0
+            mix = span.mixture
+            resp = mix.responsibilities(col)
+            if rng is None:
+                mode = np.argmax(resp, axis=1)
             else:
-                cats = np.asarray(span.categories)
-                idx = np.searchsorted(cats, col)
-                idx = np.clip(idx, 0, cats.size - 1)
-                if not np.all(cats[idx] == col):
-                    bad = int(np.flatnonzero(cats[idx] != col)[0])
-                    raise EncodingError(
-                        f"row {bad}: value {col[bad]!r} is not a known category of "
-                        f"{span.name!r}"
-                    )
-                out[rows, b0 + idx] = 1.0
+                cum = np.cumsum(resp, axis=1)
+                cum[:, -1] = 1.0
+                mode = (cum > rng.random(n)[:, None]).argmax(axis=1)
+            out[:, span.alpha] = (col - mix.means[mode]) / (4.0 * mix.stds[mode])
+            out[rows, span.beta[0] + mode] = 1.0
         return out
 
     def decode(self, encoded: np.ndarray, harden: bool = False) -> np.ndarray:
@@ -306,20 +265,12 @@ class ModeNormalizer:
             if not harden:
                 _validate_onehot(block, span.name)
             mode = np.argmax(block, axis=1)
-            if span.kind == "continuous":
-                mix = span.mixture
-                alpha = encoded[:, span.alpha]
-                if harden:
-                    alpha = np.clip(alpha, -1.0, 1.0)
-                out[:, j] = alpha * 4.0 * mix.stds[mode] + mix.means[mode]
-            else:
-                out[:, j] = np.asarray(span.categories)[mode]
+            mix = span.mixture
+            alpha = encoded[:, span.alpha]
+            if harden:
+                alpha = np.clip(alpha, -1.0, 1.0)
+            out[:, j] = alpha * 4.0 * mix.stds[mode] + mix.means[mode]
         return out
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        self._require_fit()
-        return self._names
 
 
 class MinMaxNormalizer:

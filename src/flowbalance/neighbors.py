@@ -189,13 +189,3 @@ def knn_table(view: StandardizedView, query_indices: np.ndarray, k: int, scope: 
     return _knn_block(view.scaled, view.scaled[query_indices], scope_idx, k,
                       exclude=query_indices)
 
-
-def majority_count_in_knn(
-    view: StandardizedView,
-    query_index: int,
-    k: int,
-    labels: np.ndarray,
-) -> int:
-    """Number of majority-class rows among the k all-rows neighbors."""
-    neigh = knn(view, query_index, NeighborQuery(k, scope="all"))
-    return int(np.sum(labels[neigh] == 0))

@@ -20,11 +20,21 @@ LEAK = 0.2
 
 
 def leaky_relu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, LEAK * z)
+    return np.maximum(z, LEAK * z)
 
 
 def leaky_relu_grad(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, 1.0, LEAK)
+
+
+def sigmoid(s: np.ndarray) -> np.ndarray:
+    # split on sign so exp never sees a large positive argument
+    out = np.empty_like(s, dtype=np.float64)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    es = np.exp(s[~pos])
+    out[~pos] = es / (1.0 + es)
+    return out
 
 
 @dataclass

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .nets import sigmoid
 
 _EPS = 1e-12
 
@@ -378,7 +379,7 @@ class GradientBoost:
         return score
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(features))
+        return sigmoid(self.decision_function(features))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return (self.predict_proba(features) >= 0.5).astype(np.int64)
@@ -422,16 +423,6 @@ def _fit_resid_tree(features: np.ndarray, resid: np.ndarray, hess: np.ndarray, c
     return _finish(builder, importances)
 
 
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    # split on sign so exp never sees a large positive argument
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
-
-
 def fit_boost(
     features: np.ndarray,
     labels: np.ndarray,
@@ -449,7 +440,7 @@ def fit_boost(
     trees = []
     trace = []
     for _ in range(config.n_rounds):
-        p = _sigmoid(score)
+        p = sigmoid(score)
         tree = _fit_resid_tree(features, y - p, p * (1.0 - p), config)
         trees.append(tree)
         score = score + config.learning_rate * tree.predict_value(features)

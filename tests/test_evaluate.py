@@ -17,7 +17,6 @@ from flowbalance.evaluate import (
     _pairwise_sq_dists,
     confusion,
     cross_val_f1,
-    export_log_histograms,
     f1_score,
     ks_report,
     ks_two_sample,
@@ -266,15 +265,6 @@ class TestLogHistograms:
     def test_all_non_positive_raises(self):
         with pytest.raises(ParameterError):
             log_histogram_pair([-1.0, 0.0], [1.0])
-
-    def test_export_writes_feature_by_bin_rows(self, rng, tmp_path):
-        real = rng.lognormal(size=(300, 2))
-        synth = rng.lognormal(size=(200, 2))
-        path = tmp_path / "hist.csv"
-        export_log_histograms(real, synth, ("size", "rate"), path, n_bins=20)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "feature,bin_lo,bin_hi,real_count,synthetic_count"
-        assert len(lines) == 1 + 2 * 20
 
 
 def two_cluster_cloud(n_per=60, d=10, gap=8.0, seed=0):

@@ -7,9 +7,7 @@ from flowbalance.errors import (
     TrainingDivergedError,
 )
 from flowbalance.gan import (
-    CondSampler,
     GanConfig,
-    GeneratorModel,
     LossTrace,
     train_ctgan,
     train_gan,
@@ -29,46 +27,6 @@ def blob_features(n=120, seed=0):
         rng.normal(3.0, 1.0, n),
         rng.normal(-1.0, 0.5, n),
     ])
-
-
-class TestCondSampler:
-    def test_log_frequency_probabilities(self):
-        sampler = CondSampler.from_counts((np.array([900, 100]),))
-        want = np.log1p([900, 100])
-        want = want / want.sum()
-        assert np.allclose(sampler.probs[0], want)
-
-    def test_empirical_rates_match_log_law(self):
-        # 90/10 split: pick rates follow log mass, not raw frequency
-        sampler = CondSampler.from_counts((np.array([90_000, 10_000]),))
-        rng = np.random.default_rng(1)
-        _, _, cat = sampler.draw(100_000, rng)
-        rate = np.mean(cat == 0)
-        want = sampler.probs[0][0]
-        assert abs(rate - want) < 0.02
-        assert abs(rate - 0.9) > 0.05  # clearly not the raw frequency
-
-    def test_draws_are_one_hot(self):
-        sampler = CondSampler.from_counts((np.array([5, 5]), np.array([1, 2, 3])))
-        rng = np.random.default_rng(2)
-        cond, block, cat = sampler.draw(50, rng)
-        assert cond.shape == (50, 5)
-        assert np.all(cond.sum(axis=1) == 1.0)
-        offsets = np.array([0, 2])
-        cols = cond.argmax(axis=1)
-        assert np.array_equal(cols, offsets[block] + cat)
-
-    def test_zero_width_draw(self):
-        sampler = CondSampler((), ())
-        cond, block, cat = sampler.draw(7, np.random.default_rng(0))
-        assert cond.shape == (7, 0)
-        assert np.all(block == 0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            CondSampler((2,), ())
-        with pytest.raises(ParameterError):
-            CondSampler.from_counts((np.array([0, 0]),))
 
 
 class TestTrainGan:
@@ -130,13 +88,6 @@ class TestTrainGan:
         assert np.all(out >= lo - slack)
         assert np.all(out <= hi + slack)
 
-    def test_discriminator_prob_range(self):
-        feats = blob_features()
-        model = train_gan(feats, tiny_config())
-        p = model.discriminator_prob(feats)
-        assert p.shape == (len(feats),)
-        assert np.all((p > 0) & (p < 1))
-
     def test_rejects_bad_input(self):
         with pytest.raises(ParameterError):
             train_gan(np.ones(5), tiny_config())
@@ -148,42 +99,25 @@ class TestTrainGan:
             GanConfig(d_steps=0)
 
 
+@pytest.mark.parametrize("train", [train_gan, train_ctgan])
+def test_discriminator_prob_range(train):
+    feats = blob_features()
+    model = train(feats, tiny_config())
+    p = model.discriminator_prob(feats)
+    assert p.shape == (len(feats),)
+    assert np.all((p > 0) & (p < 1))
+
+
 class TestTrainCtgan:
     def test_no_discrete_means_no_condition(self):
         feats = blob_features()
         model = train_ctgan(feats, tiny_config(), feature_names=("a", "b"))
-        assert model.cond.width == 0
-        assert model.g_net.layer_sizes[0] == 4  # noise only
+        width = model.normalizer.layout.width
+        assert model.g_net.layer_sizes[0] == tiny_config().noise_dim  # noise only
+        assert model.g_net.layer_sizes[-1] == width
+        assert model.d_net.layer_sizes[0] == width  # encoded rows only
         out = model.sample(15, seed=1)
         assert out.shape == (15, 2)
-
-    def test_discrete_column_widens_inputs(self):
-        rng = np.random.default_rng(3)
-        feats = np.column_stack([
-            rng.normal(0.0, 1.0, 150),
-            rng.choice([0.0, 1.0, 2.0], 150),
-        ])
-        model = train_ctgan(
-            feats, tiny_config(), feature_names=("c", "cat"), discrete=("cat",)
-        )
-        assert model.cond.width == 3
-        assert model.g_net.layer_sizes[0] == 4 + 3
-        enc_width = model.normalizer.layout.width
-        assert model.d_net.layer_sizes[0] == enc_width + 3
-        out = model.sample(30, seed=2)
-        assert set(np.unique(out[:, 1])) <= {0.0, 1.0, 2.0}
-
-    def test_conditioned_model_rejects_discriminator_prob(self):
-        rng = np.random.default_rng(4)
-        feats = np.column_stack([
-            rng.normal(0.0, 1.0, 150),
-            rng.choice([0.0, 1.0], 150),
-        ])
-        model = train_ctgan(
-            feats, tiny_config(), feature_names=("c", "cat"), discrete=("cat",)
-        )
-        with pytest.raises(ParameterError):
-            model.discriminator_prob(feats)
 
     def test_deterministic(self):
         feats = blob_features()
@@ -191,45 +125,6 @@ class TestTrainCtgan:
         b = train_ctgan(feats, tiny_config())
         assert a.trace.rows == b.trace.rows
         assert np.array_equal(a.sample(8, seed=0), b.sample(8, seed=0))
-
-
-class TestSaveLoad:
-    def test_gan_round_trip(self, tmp_path):
-        model = train_gan(blob_features(), tiny_config(), feature_names=("a", "b"))
-        path = tmp_path / "gan.json"
-        model.save(path)
-        back = GeneratorModel.load(path)
-        assert back.kind == "gan"
-        assert back.feature_names == ("a", "b")
-        assert np.array_equal(back.sample(25, seed=7), model.sample(25, seed=7))
-        assert back.trace.rows == model.trace.rows
-
-    def test_ctgan_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        feats = np.column_stack([
-            np.concatenate([rng.normal(0, 1, 75), rng.normal(50, 1, 75)]),
-            rng.choice([0.0, 1.0], 150),
-        ])
-        model = train_ctgan(
-            feats, tiny_config(), feature_names=("c", "cat"), discrete=("cat",)
-        )
-        path = tmp_path / "ctgan.json"
-        model.save(path)
-        back = GeneratorModel.load(path)
-        assert back.kind == "ctgan"
-        assert np.array_equal(back.sample(25, seed=7), model.sample(25, seed=7))
-
-    def test_version_check(self, tmp_path):
-        model = train_gan(blob_features(), tiny_config())
-        path = tmp_path / "gan.json"
-        model.save(path)
-        import json
-
-        blob = json.loads(path.read_text())
-        blob["format_version"] = 99
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ParameterError):
-            GeneratorModel.load(path)
 
 
 class TestLossTrace:

@@ -171,25 +171,6 @@ class TestModeNormalizer:
         picks = enc[:, span.beta[0]:span.beta[1]].argmax(axis=1)
         assert len(np.unique(picks)) == 2
 
-    def test_discrete_column(self):
-        x = np.column_stack([
-            np.array([0.0, 1.0, 1.0, 2.0, 0.0, 1.0]),
-            np.linspace(0, 1, 6),
-        ])
-        norm = ModeNormalizer().fit(x, ("cat", "c"), discrete=("cat",))
-        enc = norm.encode(x)
-        span = norm.layout.spans[0]
-        assert span.kind == "discrete"
-        assert span.categories == (0.0, 1.0, 2.0)
-        back = norm.decode(enc)
-        assert np.array_equal(back[:, 0], x[:, 0])
-
-    def test_unknown_category_rejected(self):
-        x = np.array([[0.0], [1.0], [0.0], [1.0]])
-        norm = ModeNormalizer().fit(x, ("cat",), discrete=("cat",))
-        with pytest.raises(EncodingError):
-            norm.encode(np.array([[2.0]]))
-
     def test_decode_validates_onehot(self):
         x = np.random.default_rng(15).normal(size=(100, 1))
         norm = ModeNormalizer().fit(x, ("a",))
@@ -220,8 +201,6 @@ class TestModeNormalizer:
             ModeNormalizer(max_modes=0)
         with pytest.raises(ParameterError):
             ModeNormalizer().fit(np.ones((3, 2)), ("a",))
-        with pytest.raises(ParameterError):
-            ModeNormalizer().fit(np.ones((3, 1)), ("a",), discrete=("zzz",))
 
     def test_decode_checks_width(self):
         x = np.random.default_rng(17).normal(size=(50, 1))

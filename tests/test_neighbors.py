@@ -9,7 +9,6 @@ from flowbalance.neighbors import (
     NeighborQuery,
     knn,
     knn_table,
-    majority_count_in_knn,
     standardize,
 )
 from flowbalance.oversample import enn_misclassified
@@ -248,27 +247,3 @@ class TestNearTiesAtLargeNorm:
             want = brute_force_knn(view.scaled, i, np.arange(n), k)
             assert np.array_equal(table[i], want), f"row {i}"
 
-
-class TestMajorityCount:
-    def test_surrounded_by_own_class(self):
-        labels = np.array([1, 1, 1, 1, 0])
-        feats = np.array([0.0, 0.1, 0.2, 0.3, 99.0])
-        view = standardize(plain_dataset(feats, labels))
-        assert majority_count_in_knn(view, 0, 3, labels) == 0
-
-    def test_surrounded_by_majority(self):
-        labels = np.array([1, 0, 0, 0, 0])
-        feats = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
-        view = standardize(plain_dataset(feats, labels))
-        assert majority_count_in_knn(view, 0, 4, labels) == 4
-
-    def test_against_recount(self):
-        rng = np.random.default_rng(23)
-        labels = (rng.random(80) < 0.3).astype(np.int64)
-        labels[0] = 1
-        feats = rng.normal(size=(80, 3))
-        view = standardize(plain_dataset(feats, labels))
-        for i in np.flatnonzero(labels == 1):
-            neigh = knn(view, int(i), NeighborQuery(5))
-            want = int(np.sum(labels[neigh] == 0))
-            assert majority_count_in_knn(view, int(i), 5, labels) == want

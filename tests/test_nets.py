@@ -10,6 +10,7 @@ from flowbalance.nets import (
     MixedActivation,
     SgdMomentum,
     gradient_check,
+    leaky_relu,
 )
 
 
@@ -76,6 +77,19 @@ class TestForward:
         net.weights[1][:] = 1.0
         neg = net.forward(np.array([[-2.0]]))
         assert neg[0, 0] == pytest.approx(LEAK * -2.0)
+
+    def test_leaky_relu_matches_where_form_bitwise(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        normal = np.finfo(np.float64).tiny
+        z = np.array([
+            0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, normal, -normal,
+            np.inf, -np.inf, 1.5, -1.5, np.finfo(np.float64).max,
+            -np.finfo(np.float64).max,
+        ])
+        want = np.where(z > 0, z, LEAK * z)
+        got = leaky_relu(z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestBackward:
