@@ -32,7 +32,7 @@ from .evaluate import f1_score, ks_report, tsne, write_csv
 from .gan import GanConfig, train_ctgan, train_gan
 from .oversample import OversampleConfig, oversample
 from .svg import Series, line_chart, scatter_chart
-from .trees import MODEL_KINDS, HyperGrid, fit_model, grid_search
+from .trees import MODEL_CONFIGS, MODEL_KINDS, HyperGrid, fit_model, grid_search
 
 METHOD_ORDER = (
     "none", "smote", "borderline", "smote_enn", "smote_tomek", "adasyn", "gan", "ctgan",
@@ -119,6 +119,19 @@ class ExperimentConfig:
             raise SchemaError("need at least one imbalance ratio and one seed")
         if not 0.0 < self.test_fraction < 1.0:
             raise SchemaError("test_fraction must be in (0, 1)")
+        if not isinstance(self.grids, dict):
+            raise SchemaError("grids must map classifier kinds to parameter grids")
+        for kind, axes in self.grids.items():
+            if kind not in MODEL_CONFIGS:
+                raise SchemaError(f"unknown grid kind {kind!r}")
+            if not isinstance(axes, dict):
+                raise SchemaError(f"grid for {kind!r} must map parameter names to value lists")
+            known = {f.name for f in dataclasses.fields(MODEL_CONFIGS[kind])}
+            for name, values in axes.items():
+                if name not in known:
+                    raise SchemaError(f"unknown {kind} grid parameter {name!r}")
+                if not isinstance(values, (list, tuple)) or not values:
+                    raise SchemaError(f"{kind} grid axis {name!r} must be a non-empty list")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -1,20 +1,26 @@
 """Tree classifiers trained from scratch: CART, bagged forest, boosting.
 
-Splits are searched with prefix sums over each sorted column, candidate
-thresholds sit at midpoints between consecutive distinct values, and ties
-are broken toward the lower feature index and then the lower threshold so
-every fit is order-deterministic. Fitted trees are flattened to arrays,
-which keeps prediction a handful of vectorized hops per tree level.
+All three grow through one function, ``_fit_flat_tree``: weighted Gini
+for the classifiers, residual sum of squares for boosting. It visits nodes
+in preorder from an explicit stack, so node ids, and the forest's per-node
+feature draws, follow depth-first order. A node's picked features are
+scanned as one (k, m) block: each row is sorted in stable order and
+prefix-summed, candidate thresholds sit at midpoints between consecutive
+distinct values, illegal cuts score inf, and one argmin over the flattened
+block breaks ties toward the lower feature index and then the lower
+threshold, so every fit is order-deterministic. Fitted trees are flattened
+to arrays, which keeps prediction a handful of vectorized hops per tree
+level.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
+from . import evaluate
 from .errors import ParameterError, ShapeError
 from .nets import sigmoid
 
@@ -49,25 +55,6 @@ class BoostConfig:
     min_samples_split: int = 2
 
 
-class _TreeBuilder:
-    """Accumulates nodes in flat arrays while a tree is grown."""
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-
 @dataclass(frozen=True)
 class FlatTree:
     """One fitted tree as parallel arrays; feature -1 marks a leaf."""
@@ -97,124 +84,114 @@ class FlatTree:
             node[rows] = np.where(go_left, self.left[cur], self.right[cur])
 
 
-def _best_split_gini(
-    xs: np.ndarray, ones: np.ndarray, min_leaf: int
-) -> tuple[float, float, float] | None:
-    """Lowest weighted Gini over midpoint thresholds of one sorted column.
+def _best_split(
+    block: np.ndarray, targets: np.ndarray, min_leaf: int, gini: bool
+) -> tuple[int, float, float] | None:
+    """Best cut over a node's picked features, scanned as one (k, m) block.
 
-    Returns (weighted impurity, threshold, gain vs parent) or None when no
-    legal split exists. The scan keeps the first minimum, which is the
-    lowest threshold because the column is ascending.
+    Each row of ``block`` holds one feature's values at the node's m rows,
+    ``targets`` their 0/1 labels (Gini) or residuals (SSE). A cut between
+    equal values or leaving fewer than ``min_leaf`` rows on a side scores
+    inf; the flattened argmin keeps the first minimum, the lowest row and
+    then the lowest threshold. Returns (row, threshold, gain vs parent),
+    or None when no cut is legal.
     """
-    n = xs.size
-    cut = np.flatnonzero(xs[:-1] < xs[1:])
-    if cut.size == 0:
+    m = block.shape[1]
+    # Prefix sums round by the order of the targets, which must be the
+    # stable one. The fast sort gives it unless some run of equal values
+    # carries unequal targets; only then is the block sorted stably.
+    for kind in ("quicksort", "stable"):
+        order = np.argsort(block, axis=1, kind=kind)
+        xs = np.take_along_axis(block, order, axis=1)
+        ys = targets[order]
+        rising = xs[:, :-1] < xs[:, 1:]
+        if np.all(rising | (ys[:, :-1] == ys[:, 1:])):
+            break
+    csum = np.cumsum(ys, axis=1)
+    left = csum[:, :-1]
+    total = csum[:, -1:]
+    n_left = np.arange(1, m)
+    n_right = m - n_left
+    if gini:
+        p_l = left / n_left
+        p_r = (total - left) / n_right
+        score = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / m
+        p = total / m
+        parent = 2 * p * (1 - p)
+    else:
+        # sum(ys**2) stays per row: its pairwise rounding follows each
+        # feature's own sort order. Minimizing SSE maximizes the bracket.
+        sq = np.sum(ys**2, axis=1, keepdims=True)
+        score = sq - (left**2 / n_left + (total - left) ** 2 / n_right)
+        parent = sq - total**2 / m
+    score[~rising | (n_left < min_leaf) | (n_right < min_leaf)] = np.inf
+    row, cut = divmod(int(np.argmin(score)), m - 1)
+    if score[row, cut] == np.inf:
         return None
-    n_left = cut + 1
-    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    cut = cut[ok]
-    if cut.size == 0:
-        return None
-    n_left = n_left[ok]
-    c1 = np.cumsum(ones)
-    one_left = c1[cut]
-    one_right = c1[-1] - one_left
-    n_right = n - n_left
-    p_l = one_left / n_left
-    p_r = one_right / n_right
-    weighted = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
-    best = int(np.argmin(weighted))
-    p = c1[-1] / n
-    parent = 2 * p * (1 - p)
-    thr = (xs[cut[best]] + xs[cut[best] + 1]) / 2.0
-    return float(weighted[best]), float(thr), float(parent - weighted[best])
+    thr = (xs[row, cut] + xs[row, cut + 1]) / 2.0
+    return row, float(thr), float(parent[row, 0] - score[row, cut])
 
 
-def _best_split_sse(
-    xs: np.ndarray, resid: np.ndarray, min_leaf: int
-) -> tuple[float, float, float] | None:
-    """Lowest residual sum of squares over midpoint thresholds."""
-    n = xs.size
-    cut = np.flatnonzero(xs[:-1] < xs[1:])
-    if cut.size == 0:
-        return None
-    n_left = cut + 1
-    ok = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    cut = cut[ok]
-    if cut.size == 0:
-        return None
-    n_left = n_left[ok]
-    csum = np.cumsum(resid)
-    total = csum[-1]
-    sum_left = csum[cut]
-    n_right = n - n_left
-    # minimizing SSE equals maximizing the explained term below
-    score = sum_left**2 / n_left + (total - sum_left) ** 2 / n_right
-    sse = float(np.sum(resid**2)) - score
-    best = int(np.argmin(sse))
-    parent_sse = float(np.sum(resid**2)) - total**2 / n
-    thr = (xs[cut[best]] + xs[cut[best] + 1]) / 2.0
-    return float(sse[best]), float(thr), float(parent_sse - sse[best])
+def _fit_flat_tree(
+    columns: np.ndarray, targets: np.ndarray, cfg, hess: np.ndarray | None = None,
+    rng: np.random.Generator | None = None, n_pick: int | None = None,
+) -> FlatTree:
+    """Grow one tree on (d, n) ``columns`` in preorder from an explicit stack.
 
-
-def _grow(
-    builder: _TreeBuilder,
-    features: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    cfg,
-    leaf_value: Callable[[np.ndarray], float],
-    split_score: Callable[[np.ndarray, np.ndarray], tuple[float, float, float] | None],
-    split_targets: np.ndarray,
-    pure: Callable[[np.ndarray], bool],
-    importances: np.ndarray,
-    feature_pick: Callable[[], np.ndarray],
-) -> int:
-    node = builder.add()
-    n = idx.size
-    stop = (
-        depth >= cfg.max_depth
-        or n < cfg.min_samples_split
-        or n < 2 * cfg.min_samples_leaf
-        or pure(idx)
-    )
-    best = None
-    if not stop:
-        for j in feature_pick():
-            x = features[idx, j]
-            order = np.argsort(x, kind="stable")
-            found = split_score(x[order], split_targets[idx][order])
-            if found is None:
-                continue
-            score, thr, gain = found
-            if best is None or score < best[0]:
-                best = (score, int(j), thr, gain)
-    if best is None:
-        builder.value[node] = leaf_value(idx)
-        return node
-    _, j, thr, gain = best
-    importances[j] += gain * n
-    go_left = features[idx, j] <= thr
-    builder.feature[node] = j
-    builder.threshold[node] = thr
-    builder.left[node] = _grow(
-        builder, features, idx[go_left], depth + 1, cfg, leaf_value,
-        split_score, split_targets, pure, importances, feature_pick,
-    )
-    builder.right[node] = _grow(
-        builder, features, idx[~go_left], depth + 1, cfg, leaf_value,
-        split_score, split_targets, pure, importances, feature_pick,
-    )
-    return node
-
-
-def _finish(builder: _TreeBuilder, importances: np.ndarray) -> FlatTree:
+    Without ``hess`` this is a classification tree: ``targets`` are 0/1,
+    splits minimize weighted Gini, leaves hold the class-1 fraction and
+    importances are normalized. With ``hess`` it is a regression tree on
+    residuals: splits minimize SSE and leaves hold the Newton step
+    sum(residual) / sum(hess). With ``rng`` each split considers
+    ``n_pick`` random features, drawn only at nodes that try to split.
+    """
+    d, n = columns.shape
+    gini = hess is None
+    importances = np.zeros(d)
+    feature, threshold, value, left, right = [], [], [], [], []
+    # (rows, depth, parent id, parent's child list); the right child is
+    # pushed first so the left subtree is grown, and numbered, first
+    stack = [(np.arange(n), 0, -1, left)]
+    while stack:
+        idx, depth, parent, links = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            links[parent] = node
+        feature.append(-1)
+        threshold.append(np.nan)
+        value.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        ys = targets[idx]
+        m = idx.size
+        split = None
+        if not (
+            depth >= cfg.max_depth
+            or m < cfg.min_samples_split
+            or m < 2 * cfg.min_samples_leaf
+            or np.all(ys == ys[0])
+        ):
+            cols = np.arange(d) if rng is None else np.sort(rng.choice(d, n_pick, replace=False))
+            split = _best_split(columns[np.ix_(cols, idx)], ys, cfg.min_samples_leaf, gini)
+        if split is None:
+            value[node] = float(ys.mean()) if gini else float(ys.sum() / max(hess[idx].sum(), _EPS))
+            continue
+        row, thr, gain = split
+        j = int(cols[row])
+        importances[j] += gain * m
+        feature[node] = j
+        threshold[node] = thr
+        go_left = columns[j, idx] <= thr
+        stack.append((idx[~go_left], depth + 1, node, right))
+        stack.append((idx[go_left], depth + 1, node, left))
+    if gini and importances.sum() > 0:
+        importances /= importances.sum()
     return FlatTree(
-        np.asarray(builder.feature, dtype=np.int64),
-        np.asarray(builder.threshold, dtype=np.float64),
-        np.asarray(builder.left, dtype=np.int64),
-        np.asarray(builder.right, dtype=np.int64),
-        np.asarray(builder.value, dtype=np.float64),
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.asarray(value, dtype=np.float64),
         importances,
     )
 
@@ -227,45 +204,6 @@ def _check_xy(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     if features.shape[0] == 0:
         raise ParameterError("cannot fit on an empty set")
     return features, labels
-
-
-def _fit_class_tree(
-    features: np.ndarray,
-    labels: np.ndarray,
-    cfg,
-    rng: np.random.Generator | None = None,
-    n_pick: int | None = None,
-) -> FlatTree:
-    d = features.shape[1]
-    builder = _TreeBuilder()
-    importances = np.zeros(d)
-    ones = (labels == 1).astype(np.float64)
-
-    if rng is None:
-        def feature_pick() -> np.ndarray:
-            return np.arange(d)
-    else:
-        def feature_pick() -> np.ndarray:
-            return np.sort(rng.choice(d, size=n_pick, replace=False))
-
-    def leaf_value(idx: np.ndarray) -> float:
-        return float(ones[idx].mean())
-
-    def pure(idx: np.ndarray) -> bool:
-        first = ones[idx[0]]
-        return bool(np.all(ones[idx] == first))
-
-    def split_score(xs, ys):
-        return _best_split_gini(xs, ys, cfg.min_samples_leaf)
-
-    _grow(
-        builder, features, np.arange(features.shape[0]), 0, cfg,
-        leaf_value, split_score, ones, pure, importances, feature_pick,
-    )
-    total = importances.sum()
-    if total > 0:
-        importances /= total
-    return _finish(builder, importances)
 
 
 @dataclass(frozen=True)
@@ -295,7 +233,9 @@ class DecisionTree:
 
 def fit_tree(features: np.ndarray, labels: np.ndarray, config: TreeConfig = TreeConfig()) -> DecisionTree:
     features, labels = _check_xy(features, labels)
-    return DecisionTree(_fit_class_tree(features, labels, config), config)
+    ones = (labels == 1).astype(np.float64)
+    columns = np.ascontiguousarray(features.T)
+    return DecisionTree(_fit_flat_tree(columns, ones, config), config)
 
 
 @dataclass(frozen=True)
@@ -346,13 +286,14 @@ def fit_forest(
     n_pick = config.n_features if config.n_features is not None else int(np.ceil(np.sqrt(d)))
     if not 1 <= n_pick <= d:
         raise ParameterError(f"n_features must be in [1, {d}], got {n_pick}")
+    ones = (labels == 1).astype(np.float64)
+    columns = np.ascontiguousarray(features.T)
     trees = []
     for child in np.random.SeedSequence(seed).spawn(config.n_trees):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(
-            _fit_class_tree(features[rows], labels[rows], config, rng, n_pick)
-        )
+        sample = columns.take(rows, axis=1)
+        trees.append(_fit_flat_tree(sample, ones[rows], config, rng=rng, n_pick=n_pick))
     return RandomForest(tuple(trees), config)
 
 
@@ -399,30 +340,6 @@ class GradientBoost:
         }
 
 
-def _fit_resid_tree(features: np.ndarray, resid: np.ndarray, hess: np.ndarray, cfg) -> FlatTree:
-    d = features.shape[1]
-    builder = _TreeBuilder()
-    importances = np.zeros(d)
-
-    def feature_pick() -> np.ndarray:
-        return np.arange(d)
-
-    def leaf_value(idx: np.ndarray) -> float:
-        return float(resid[idx].sum() / max(hess[idx].sum(), _EPS))
-
-    def pure(idx: np.ndarray) -> bool:
-        return bool(np.all(resid[idx] == resid[idx[0]]))
-
-    def split_score(xs, rs):
-        return _best_split_sse(xs, rs, cfg.min_samples_leaf)
-
-    _grow(
-        builder, features, np.arange(features.shape[0]), 0, cfg,
-        leaf_value, split_score, resid, pure, importances, feature_pick,
-    )
-    return _finish(builder, importances)
-
-
 def fit_boost(
     features: np.ndarray,
     labels: np.ndarray,
@@ -437,11 +354,12 @@ def fit_boost(
         raise ParameterError("n_rounds must be >= 0 and learning_rate positive")
     score = np.full(y.size, np.log(p_bar / (1.0 - p_bar)))
     init = float(score[0])
+    columns = np.ascontiguousarray(features.T)
     trees = []
     trace = []
     for _ in range(config.n_rounds):
         p = sigmoid(score)
-        tree = _fit_resid_tree(features, y - p, p * (1.0 - p), config)
+        tree = _fit_flat_tree(columns, y - p, config, hess=p * (1.0 - p))
         trees.append(tree)
         score = score + config.learning_rate * tree.predict_value(features)
         log_loss = float(np.mean(np.logaddexp(0.0, score) - y * score))
@@ -449,18 +367,20 @@ def fit_boost(
     return GradientBoost(init, config.learning_rate, tuple(trees), config, tuple(trace))
 
 
-MODEL_KINDS = ("tree", "forest", "boost")
+MODEL_CONFIGS = {"tree": TreeConfig, "forest": ForestConfig, "boost": BoostConfig}
+MODEL_KINDS = tuple(MODEL_CONFIGS)
 
 
 def fit_model(kind: str, features: np.ndarray, labels: np.ndarray, params: dict, seed: int = 0):
     """Fit a classifier by name with keyword overrides of its defaults."""
+    if kind not in MODEL_CONFIGS:
+        raise ParameterError(f"unknown model kind {kind!r}")
+    config = MODEL_CONFIGS[kind](**params)
     if kind == "tree":
-        return fit_tree(features, labels, TreeConfig(**params))
+        return fit_tree(features, labels, config)
     if kind == "forest":
-        return fit_forest(features, labels, ForestConfig(**params), seed)
-    if kind == "boost":
-        return fit_boost(features, labels, BoostConfig(**params))
-    raise ParameterError(f"unknown model kind {kind!r}")
+        return fit_forest(features, labels, config, seed)
+    return fit_boost(features, labels, config)
 
 
 @dataclass(frozen=True)
@@ -500,15 +420,15 @@ def grid_search(
     Ties keep the earliest point in enumeration order so results never
     depend on dict iteration quirks.
     """
-    from .evaluate import cross_val_f1
-
     rows = []
     best = None
     for i, params in enumerate(grid.points()):
         def fit_predict(tr_x, tr_y, te_x, _p=params):
             return fit_model(grid.kind, tr_x, tr_y, _p, seed).predict(te_x)
 
-        scores = cross_val_f1(features, labels, n_folds, fit_predict, seed)
+        # through the module, so a wrapper on evaluate.cross_val_f1 (the
+        # perfbench spans) also times the grid search's folds
+        scores = evaluate.cross_val_f1(features, labels, n_folds, fit_predict, seed)
         mean = float(np.mean(scores))
         rows.append((params, tuple(float(s) for s in scores)))
         if best is None or mean > best[1]:

@@ -69,6 +69,12 @@ class TestExperimentConfig:
             {"test_fraction": 1.0},
             {"seeds": ()},
             {"classifiers": ()},
+            {"grids": {"forst": {"n_trees": [3]}}},
+            {"grids": {"tree": {"max_dpth": [3]}}},
+            {"grids": {"tree": {"max_depth": []}}},
+            {"grids": {"tree": {"max_depth": 3}}},
+            {"grids": {"boost": [("n_rounds", [5])]}},
+            {"grids": [("tree", {"max_depth": [3]})]},
         ],
     )
     def test_invalid_fields_rejected(self, bad):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowbalance.errors import ParameterError, ShapeError, StaleCacheError
 from flowbalance.gan import sigmoid
@@ -147,6 +147,8 @@ class TestBackward:
         rows=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=999),
     )
+    # a layer-1 pre-activation sits 1.2e-5 from the kink, inside one step
+    @example(hidden=[10, 7], n_in=4, n_out=1, rows=3, seed=72)
     @settings(max_examples=15, deadline=None)
     def test_gradient_check_on_random_configs(self, hidden, n_in, n_out, rows, seed):
         net = FeedforwardNet((n_in, *hidden, n_out), seed=seed)

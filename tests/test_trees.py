@@ -1,5 +1,7 @@
 """Tests for the from-scratch tree, forest, and boosting classifiers."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from flowbalance.trees import (
     HyperGrid,
     RandomForest,
     TreeConfig,
+    _best_split,
     fit_boost,
     fit_forest,
     fit_model,
@@ -26,9 +29,11 @@ from flowbalance.trees import (
 from conftest import make_blob_dataset
 
 
-def brute_force_best_split(features, labels):
-    """Exhaustively score every (feature, midpoint) candidate by weighted Gini.
+def brute_force_best_split(features, targets, sse=False):
+    """Exhaustively score every (feature, midpoint) candidate.
 
+    Scores weighted Gini of 0/1 labels, or with ``sse`` the residual sum
+    of squares sum(r**2) - sum_left**2 / n_left - sum_right**2 / n_right.
     Scans features in ascending order and thresholds in ascending order,
     keeping the first strict minimum, so ties resolve to (lower feature,
     lower threshold). The per-split arithmetic mirrors the production
@@ -36,7 +41,7 @@ def brute_force_best_split(features, labels):
     part under test.
     """
     n, d = features.shape
-    ones = (labels == 1).astype(np.float64)
+    ones = (targets == 1).astype(np.float64)
     best = None
     for j in range(d):
         vals = np.unique(features[:, j])
@@ -45,12 +50,40 @@ def brute_force_best_split(features, labels):
             left = features[:, j] <= thr
             n_left = int(left.sum())
             n_right = n - n_left
-            p_l = ones[left].sum() / n_left
-            p_r = ones[~left].sum() / n_right
-            w = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
+            if sse:
+                s_l = targets[left].sum()
+                s_r = targets[~left].sum()
+                w = np.sum(targets**2) - (s_l**2 / n_left + s_r**2 / n_right)
+            else:
+                p_l = ones[left].sum() / n_left
+                p_r = ones[~left].sum() / n_right
+                w = (n_left * 2 * p_l * (1 - p_l) + n_right * 2 * p_r * (1 - p_r)) / n
             if best is None or w < best[0]:
                 best = (w, j, thr)
     return best
+
+
+def rows_at_nodes(flat, features):
+    """Training rows reaching each node; preorder ids put parents first."""
+    rows = [None] * flat.n_nodes
+    rows[0] = np.arange(features.shape[0])
+    for node in range(flat.n_nodes):
+        j = flat.feature[node]
+        if j >= 0:
+            go_left = features[rows[node], j] <= flat.threshold[node]
+            rows[flat.left[node]] = rows[node][go_left]
+            rows[flat.right[node]] = rows[node][~go_left]
+    return rows
+
+
+def assert_every_split_matches_oracle(flat, features, targets, sse=False):
+    internal = np.flatnonzero(flat.feature >= 0)
+    assert internal.size >= 3
+    rows = rows_at_nodes(flat, features)
+    for node in internal:
+        idx = rows[node]
+        _, feat, thr = brute_force_best_split(features[idx], targets[idx], sse)
+        assert (flat.feature[node], flat.threshold[node]) == (feat, thr), node
 
 
 def noisy_halfspace(n, d, seed, flip=0.15):
@@ -109,6 +142,14 @@ class TestFitTree:
         tree = fit_tree(feats, labels)
         assert tree.tree.feature[0] == feat
         assert tree.tree.threshold[0] == thr
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_every_split_matches_exhaustive_oracle(self, decimals):
+        feats, labels = noisy_halfspace(80, 3, seed=21)
+        if decimals is not None:
+            feats = np.round(feats, decimals)
+        tree = fit_tree(feats, labels)
+        assert_every_split_matches_oracle(tree.tree, feats, labels)
 
     def test_tied_features_prefer_lower_index(self):
         feats, labels = noisy_halfspace(30, 1, seed=2)
@@ -248,6 +289,17 @@ class TestFitBoost:
         assert np.allclose(proba, expect, rtol=1e-12)
         assert model.loss_trace[0] == pytest.approx(np.log1p(np.exp(-2.0)))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_first_round_splits_match_sse_oracle(self, seed):
+        # Balanced labels give p_bar = 0.5 and residuals y - p_bar = +-0.5,
+        # so every partial sum is exact and tied cuts tie bit for bit.
+        rng = np.random.default_rng(seed)
+        feats = np.round(rng.normal(size=(60, 3)), 1)
+        labels = rng.permutation(np.repeat([0, 1], 30))
+        model = fit_boost(feats, labels, BoostConfig(n_rounds=1))
+        assert model.init_score == 0.0
+        assert_every_split_matches_oracle(model.trees[0], feats, labels - 0.5, sse=True)
+
     @pytest.mark.parametrize("case", ["separable", "overlapping", "noise"])
     def test_training_loss_never_increases(self, case):
         if case == "separable":
@@ -364,6 +416,45 @@ class TestGridSearch:
         grid = HyperGrid("tree", (("max_depth", (2,)),))
         with pytest.raises(StratificationError):
             grid_search(feats, labels, grid, n_folds=5, seed=0)
+
+
+def test_fits_leave_no_garbage_cycles():
+    # A fit that leaves reference cycles keeps its node arrays alive until
+    # the cyclic collector runs, which shows up as peak memory.
+    feats, labels = noisy_halfspace(200, 4, seed=19)
+    gc.collect()
+    gc.disable()
+    try:
+        fit_tree(feats, labels)
+        assert gc.collect() == 0
+        fit_forest(feats, labels, ForestConfig(n_trees=4), seed=0)
+        assert gc.collect() == 0
+        fit_boost(feats, labels, BoostConfig(n_rounds=5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_split_scan_sorts_ties_stably():
+    # Prefix sums of residuals round by the order they are added in, so
+    # the scan must see tied values in their input order. Reordering rows
+    # while keeping every tie group's internal order must then change no
+    # bit of the split or its gain. The large common offset makes the gain
+    # a small difference of large sums, which shows any rounding change.
+    rng = np.random.default_rng(8)
+    values = np.round(rng.normal(size=300), 1)
+    resid = 1e4 + rng.normal(size=300)
+
+    def scans(order):
+        block = values[None, order]
+        return [_best_split(block, resid[order], leaf, gini=False) for leaf in (1, 5, 25)]
+
+    want = scans(np.arange(values.size))
+    for _ in range(20):
+        perm = rng.permutation(values.size)
+        for v in np.unique(values):
+            perm[values[perm] == v] = np.flatnonzero(values == v)
+        assert scans(perm) == want
 
 
 @settings(max_examples=25, deadline=None)
