@@ -40,7 +40,7 @@ from .harness import (
     train_generator,
     write_distribution_diagnostics,
 )
-from .oversample import OversampleConfig
+from .oversample import ORIGIN_SYNTHETIC, OversampleConfig
 from .trees import MODEL_KINDS, fit_model
 
 
@@ -90,7 +90,7 @@ def _cmd_augment(args) -> int:
     data = _load_labeled_csv(args)
     feats, labels, origin = _balanced(args, data)
     save_csv(Dataset(feats, labels, data.feature_names), args.out, origin=origin)
-    n_synth = int(np.sum(origin == 2))
+    n_synth = int(np.sum(origin == ORIGIN_SYNTHETIC))
     print(f"wrote {args.out} ({feats.shape[0]} rows, {n_synth} synthetic)")
     return 0
 
@@ -152,9 +152,8 @@ def _cmd_diagnostics(args) -> int:
     data = _load_labeled_csv(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    feats, _, origin = _balanced(args, data)
     written = write_distribution_diagnostics(
-        feats, origin, data.feature_names, out, args.seed, args.cap, args.method
+        _balanced(args, data), data.feature_names, out, args.seed, args.cap, args.method
     )
     if not written:
         print("no synthetic rows produced; nothing to diagnose", file=sys.stderr)

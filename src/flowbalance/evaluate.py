@@ -2,9 +2,9 @@
 
 F1 is the headline metric because accuracy is useless at the class ratios
 this package exists for. Distribution-level checks compare synthetic rows
-against real ones: a two-sample KS statistic per feature, paired log-scale
-histograms, and an exact t-SNE embedding for eyeballing how generated
-points sit relative to the classes.
+against real ones: a two-sample KS statistic per feature, log-scale
+histograms on a shared grid, and an exact t-SNE embedding for eyeballing
+how generated points sit relative to the classes.
 """
 
 from __future__ import annotations
@@ -193,28 +193,24 @@ def ks_report(
     return KsReport(tuple(rows))
 
 
-def log_histogram_pair(
-    real: np.ndarray, synth: np.ndarray, n_bins: int = 40
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Histogram two samples of a positive feature on a shared log10 grid.
+def log_histograms(
+    samples: Sequence[np.ndarray], n_bins: int = 40
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """Histogram samples of a positive feature on one shared log10 grid.
 
-    Non-positive values cannot be logged and are dropped. Returns
-    (bin_edges, real_counts, synth_counts).
+    Non-positive values cannot be logged and are dropped. The grid spans
+    the positive values of all samples pooled. Returns (bin_edges, counts
+    per sample), or None when no sample has a positive value.
     """
-    real = np.asarray(real, dtype=np.float64).ravel()
-    synth = np.asarray(synth, dtype=np.float64).ravel()
-    real = np.log10(real[real > 0])
-    synth = np.log10(synth[synth > 0])
-    if real.size == 0 or synth.size == 0:
-        raise ParameterError("no positive values to histogram")
-    lo = min(real.min(), synth.min())
-    hi = max(real.max(), synth.max())
+    cols = [np.asarray(s, dtype=np.float64) for s in samples]
+    pooled = np.concatenate([c[c > 0] for c in cols])
+    if pooled.size == 0:
+        return None
+    lo, hi = np.log10(pooled.min()), np.log10(pooled.max())
     if hi == lo:
         hi = lo + 1e-9
     edges = np.linspace(lo, hi, n_bins + 1)
-    real_counts, _ = np.histogram(real, bins=edges)
-    synth_counts, _ = np.histogram(synth, bins=edges)
-    return edges, real_counts, synth_counts
+    return edges, [np.histogram(np.log10(c[c > 0]), bins=edges)[0] for c in cols]
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,18 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DEFAULT_PROFILE, Dataset, generate_flows, load_csv, partition
+from .dataset import DEFAULT_PROFILE, Dataset, FlowProfile, generate_flows, load_csv, partition
 from .errors import FlowBalanceError, ParameterError, SchemaError
-from .evaluate import f1_score, ks_report, tsne, write_csv
+from .evaluate import f1_score, ks_report, log_histograms, tsne, write_csv
 from .gan import GanConfig, train_ctgan, train_gan
-from .oversample import OversampleConfig, oversample
+from .oversample import (
+    ORIGIN_MINORITY, ORIGIN_NAMES, ORIGIN_SYNTHETIC, OversampleConfig, oversample, stack_synthetic,
+)
 from .svg import Series, line_chart, scatter_chart
 from .trees import MODEL_CONFIGS, MODEL_KINDS, HyperGrid, fit_model, grid_search
 
@@ -60,6 +63,31 @@ def _ir_label(ir: float) -> str:
     return f"{ir:g}"
 
 
+def _tuples(value):
+    """``value`` with every list in it, at any depth, made a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
+def _section(base, overrides, name: str):
+    """``base``, a frozen config, with a config section's overrides applied.
+
+    Unknown keys raise SchemaError; ``base``'s class raises its own typed
+    error for a value it rejects.
+    """
+    if not isinstance(overrides, dict):
+        raise SchemaError(f"{name} must map parameter names to values")
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(base)}
+    if unknown:
+        raise SchemaError(f"unknown {name} keys: {sorted(unknown)}")
+    return dataclasses.replace(base, **{k: _tuples(v) for k, v in overrides.items()})
+
+
+# grid value types by the type of the parameter's default (n_features: int or None)
+_GRID_TYPES = {bool: (bool,), int: (int,), float: (int, float), type(None): (int, type(None))}
+
+
 @dataclass(frozen=True)
 class DataConfig:
     """Where the population comes from: a generated profile or a CSV."""
@@ -77,6 +105,12 @@ class DataConfig:
             raise SchemaError(f"unknown data source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise SchemaError("csv source needs csv_path")
+        self.flow_profile  # built now, so a bad profile fails here and not mid-run
+
+    @cached_property
+    def flow_profile(self) -> FlowProfile:
+        """The generator profile: ``DEFAULT_PROFILE`` with ``profile`` applied."""
+        return _section(DEFAULT_PROFILE, self.profile, "profile")
 
 
 @dataclass(frozen=True)
@@ -126,16 +160,30 @@ class ExperimentConfig:
                 raise SchemaError(f"unknown grid kind {kind!r}")
             if not isinstance(axes, dict):
                 raise SchemaError(f"grid for {kind!r} must map parameter names to value lists")
-            known = {f.name for f in dataclasses.fields(MODEL_CONFIGS[kind])}
+            defaults = {f.name: f.default for f in dataclasses.fields(MODEL_CONFIGS[kind])}
             for name, values in axes.items():
-                if name not in known:
+                if name not in defaults:
                     raise SchemaError(f"unknown {kind} grid parameter {name!r}")
                 if not isinstance(values, (list, tuple)) or not values:
                     raise SchemaError(f"{kind} grid axis {name!r} must be a non-empty list")
+                types = _GRID_TYPES[type(defaults[name])]
+                for value in values:
+                    # bool is an int subclass, so it fits only bool parameters
+                    if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+                        raise SchemaError(f"{kind} grid value {value!r} does not fit {name!r}")
+        # built now, so a bad section fails here and not mid-run
+        self.oversample_config, self.gan_config
+
+    @cached_property
+    def oversample_config(self) -> OversampleConfig:
+        return _section(OversampleConfig(), self.oversample, "oversample")
+
+    @cached_property
+    def gan_config(self) -> GanConfig:
+        return _section(GanConfig(), self.gan, "gan")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         """Hash of everything but ``out_dir``, which changes no output byte."""
@@ -151,20 +199,12 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-        if "data" in raw and isinstance(raw["data"], dict):
-            data_known = {f.name for f in dataclasses.fields(DataConfig)}
-            data_unknown = set(raw["data"]) - data_known
-            if data_unknown:
-                raise SchemaError(f"unknown data keys: {sorted(data_unknown)}")
-            raw["data"] = DataConfig(**raw["data"])
-        for key in ("methods", "classifiers"):
+        if isinstance(raw.get("data"), dict):
+            raw["data"] = _section(DataConfig(), raw["data"], "data")
+        casts = (("methods", str), ("classifiers", str), ("train_irs", float), ("seeds", int))
+        for key, cast in casts:
             if key in raw:
-                raw[key] = tuple(raw[key])
-        for key in ("train_irs",):
-            if key in raw:
-                raw[key] = tuple(float(v) for v in raw[key])
-        if "seeds" in raw:
-            raw["seeds"] = tuple(int(s) for s in raw["seeds"])
+                raw[key] = tuple(cast(v) for v in raw[key])
         return cls(**raw)
 
     @classmethod
@@ -233,11 +273,7 @@ DEFAULT_GRIDS: dict[str, tuple[tuple[str, tuple], ...]] = {
 def _population(data: DataConfig, seed: int) -> Dataset:
     if data.source == "csv":
         return load_csv(data.csv_path, data.label_column, data.slow_threshold)
-    profile = dataclasses.replace(DEFAULT_PROFILE, **{
-        k: tuple(tuple(m) for m in v) if k == "size_modes" else v
-        for k, v in data.profile.items()
-    })
-    return generate_flows(data.n_total, data.population_ir, seed, profile)
+    return generate_flows(data.n_total, data.population_ir, seed, data.flow_profile)
 
 
 def _split_pools(config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
@@ -304,46 +340,16 @@ def balance_train_set(
     ``none`` keeps the set as it is. A generative method stacks
     ``generator.sample`` rows, drawn with ``seed``, onto it until the
     classes are even; every other method goes through :func:`oversample`
-    with ``cfg`` and ``seed``. Origin tags rows 0 (majority), 1 (minority)
-    and 2 (synthetic).
+    with ``cfg`` and ``seed``. Origin holds the ``ORIGIN_*`` code of each
+    row (see :func:`stack_synthetic`).
     """
     if method == "none":
-        origin = np.where(train.labels == 1, 1, 0).astype(np.int64)
-        return train.features, train.labels, origin
+        return stack_synthetic(train.features, train.labels, train.features[:0])
     if method in GENERATIVE_METHODS:
         part = partition(train)
         synth = generator.sample(part.n_majority - part.n_minority, seed=seed)
-        feats = np.vstack([train.features, synth])
-        labels = np.concatenate([train.labels, np.ones(synth.shape[0], dtype=np.int64)])
-        origin = np.concatenate([
-            np.where(train.labels == 1, 1, 0),
-            np.full(synth.shape[0], 2),
-        ]).astype(np.int64)
-        return feats, labels, origin
-    aug = oversample(method, train, cfg, seed)
-    return aug.features, aug.labels, aug.origin
-
-
-def _make_oversample_config(overrides: dict) -> OversampleConfig:
-    known = {f.name for f in dataclasses.fields(OversampleConfig)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise SchemaError(f"unknown oversample keys: {sorted(unknown)}")
-    fixed = dict(overrides)
-    if "danger_band" in fixed:
-        fixed["danger_band"] = tuple(fixed["danger_band"])
-    return OversampleConfig(**fixed)
-
-
-def _make_gan_config(overrides: dict) -> GanConfig:
-    known = {f.name for f in dataclasses.fields(GanConfig)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise SchemaError(f"unknown gan keys: {sorted(unknown)}")
-    fixed = dict(overrides)
-    if "hidden" in fixed:
-        fixed["hidden"] = tuple(fixed["hidden"])
-    return GanConfig(**fixed)
+        return stack_synthetic(train.features, train.labels, synth)
+    return oversample(method, train, cfg, seed).stacked
 
 
 def _grid_for(config: ExperimentConfig, kind: str) -> HyperGrid:
@@ -386,6 +392,9 @@ class _Failure:
     stage: str
     exc: Exception
 
+    def __str__(self) -> str:
+        return f"{self.stage}: {type(self.exc).__name__}: {self.exc}"
+
 
 def _attempt(stage: str, fn, *inputs):
     """``fn(*inputs)``; the first failed input instead, if there is one.
@@ -423,10 +432,9 @@ def _run_cell(cell: Cell, balanced, test, best_params: dict) -> CellResult:
     model = _attempt("fit", _fit_cell, cell, balanced, best_params)
     f1 = _attempt("predict", _test_f1, model, test)
     if isinstance(f1, _Failure):
-        error = f"{f1.stage}: {type(f1.exc).__name__}: {f1.exc}"
-        return CellResult(cell, None, 0, 0, error=error)
+        return CellResult(cell, None, 0, 0, error=str(f1))
     feats, _, origin = balanced
-    return CellResult(cell, f1, int(feats.shape[0]), int(np.sum(origin == 2)))
+    return CellResult(cell, f1, int(feats.shape[0]), int(np.sum(origin == ORIGIN_SYNTHETIC)))
 
 
 def _diagnostics_method(config: ExperimentConfig) -> str | None:
@@ -447,8 +455,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    over_cfg = _make_oversample_config(config.oversample)
-    gan_cfg = _make_gan_config(config.gan)
 
     # hyperparameters come from the balanced baseline only, then get reused
     first_seed = config.seeds[0]
@@ -495,7 +501,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for method in dict.fromkeys(config.methods):
             if method in GENERATIVE_METHODS:
                 cfg = dataclasses.replace(
-                    gan_cfg, seed=derive_seed(seed, _GEN, METHOD_ORDER.index(method))
+                    config.gan_config, seed=derive_seed(seed, _GEN, METHOD_ORDER.index(method))
                 )
                 train = trains[_ir_int(config.train_irs[0])]
                 model = _attempt("generator", train_generator, method, train, cfg)
@@ -507,8 +513,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             tag = _GEN if method in GENERATIVE_METHODS else _AUG
             aug_seed = derive_seed(seed, tag, METHOD_ORDER.index(method), ir_key)
             balanced = _attempt(
-                "augment", balance_train_set, method, trains[ir_key], over_cfg, aug_seed,
-                generators.get(method),
+                "augment", balance_train_set, method, trains[ir_key], config.oversample_config,
+                aug_seed, generators.get(method),
             )
             if (method, ir_key, seed) == diag_key:
                 diag_set = balanced
@@ -527,12 +533,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     artifacts += emit_f1_table(report, config, out)
     artifacts += emit_ir_sweep_plot(report, config, out)
     artifacts += _write_loss_traces(out, traces)
-    try:
-        artifacts += emit_diagnostics(report, config, out, diag_set, baseline.feature_names)
-    except FlowBalanceError as exc:
-        # diagnostics reuse a cell's augmentation; if that cell failed the
-        # report must still complete with the failure flagged on the cell
-        print(f"diagnostics skipped: {exc}", file=sys.stderr)
+    if diag_set is not None:
+        # diagnostics describe the set of ctgan, or else of the first method
+        # other than none, at the first ratio and the last seed. If building
+        # it failed, its cells already carry the error; the report completes.
+        written = _attempt(
+            "diagnostics", write_distribution_diagnostics, diag_set, baseline.feature_names, out,
+            config.seeds[-1], config.tsne_cap, _diagnostics_method(config),
+            f"config_hash={report.config_hash} version={report.version}",
+        )
+        if isinstance(written, _Failure):
+            print(f"diagnostics skipped: {written}", file=sys.stderr)
+        else:
+            artifacts += written
     artifacts.append("report.json")
     report = dataclasses.replace(report, artifacts=tuple(sorted(artifacts)))
     _write_report_json(out / "report.json", report, config)
@@ -690,37 +703,8 @@ def _stamp_svg(svg: str, report: ExperimentReport) -> str:
     return comment + svg
 
 
-def emit_diagnostics(
-    report: ExperimentReport,
-    config: ExperimentConfig,
-    out: Path,
-    balanced,
-    feature_names: tuple[str, ...],
-) -> list[str]:
-    """Distribution diagnostics of one balanced training set.
-
-    ``balanced`` is the set built for ``ctgan``, or else for the first
-    configured method other than ``none``, at the first configured ratio
-    and the last seed: a KS table (real minority vs synthetic, sorted by
-    descending score), log-scale histograms per feature split by row
-    origin, and a t-SNE scatter of a capped subsample colored by origin.
-    Raises the error that kept that set from being built.
-    """
-    if balanced is None:
-        return []
-    if isinstance(balanced, _Failure):
-        raise balanced.exc
-    feats, _, origin = balanced
-    stamp = f"config_hash={report.config_hash} version={report.version}"
-    return write_distribution_diagnostics(
-        feats, origin, feature_names, Path(out), config.seeds[-1], config.tsne_cap,
-        _diagnostics_method(config), stamp,
-    )
-
-
 def write_distribution_diagnostics(
-    feats: np.ndarray,
-    origin: np.ndarray,
+    balanced: tuple[np.ndarray, np.ndarray, np.ndarray],
     names: tuple[str, ...],
     out: Path,
     seed: int,
@@ -730,38 +714,30 @@ def write_distribution_diagnostics(
 ) -> list[str]:
     """KS table, origin-split log histograms, and a t-SNE scatter.
 
-    ``origin`` tags rows 0 (majority), 1 (minority), 2 (synthetic). The KS
-    comparison is real minority against synthetic, sorted by descending
-    score; histograms share bin edges across the three origins; the
-    embedding runs on a capped, origin-stratified subsample of the log
-    features. Skips everything when no synthetic rows exist.
+    ``balanced`` is a (features, labels, origin) triple as built by
+    :func:`balance_train_set`. The KS comparison is real minority against
+    synthetic, sorted by descending score; histograms share bin edges
+    across the three origins; the embedding runs on a capped,
+    origin-stratified subsample of the log features. Skips everything
+    when no synthetic rows exist.
     """
+    feats, _, origin = balanced
     out = Path(out)
-    real_min = feats[origin == 1]
-    synth = feats[origin == 2]
+    synth = feats[origin == ORIGIN_SYNTHETIC]
     if synth.shape[0] == 0:
         return []
 
-    rep = ks_report(real_min, synth, names)
-    rep.to_csv(out / "ks_report.csv")
+    ks_report(feats[origin == ORIGIN_MINORITY], synth, names).to_csv(out / "ks_report.csv")
 
     hist_rows = []
-    groups = [feats[origin == g] for g in (0, 1, 2)]
+    groups = [feats[origin == g] for g in ORIGIN_NAMES]
     for j, name in enumerate(names):
-        cols = [g[:, j] for g in groups]
-        pooled = np.concatenate([c[c > 0] for c in cols])
-        if pooled.size == 0:
+        hist = log_histograms([g[:, j] for g in groups])
+        if hist is None:
             continue
-        lo, hi = np.log10(pooled.min()), np.log10(pooled.max())
-        if hi == lo:
-            hi = lo + 1e-9
-        edges = np.linspace(lo, hi, 41)
-        counts = [np.histogram(np.log10(c[c > 0]), bins=edges)[0] for c in cols]
-        for i in range(40):
-            hist_rows.append(
-                (name, edges[i], edges[i + 1],
-                 int(counts[0][i]), int(counts[1][i]), int(counts[2][i]))
-            )
+        edges, counts = hist
+        for i in range(edges.size - 1):
+            hist_rows.append((name, edges[i], edges[i + 1], *(int(c[i]) for c in counts)))
     write_csv(
         out / "histograms.csv",
         ("feature", "bin_lo", "bin_hi", "count_majority", "count_minority", "count_synthetic"),
@@ -771,7 +747,7 @@ def write_distribution_diagnostics(
     rng = np.random.default_rng(derive_seed(seed, _EMBED, 0))
     per_group = max(cap // 3, 10)
     keep = []
-    for g in (0, 1, 2):
+    for g in ORIGIN_NAMES:
         members = np.flatnonzero(origin == g)
         take = min(members.size, per_group)
         keep.append(np.sort(rng.choice(members, size=take, replace=False)))
@@ -785,16 +761,11 @@ def write_distribution_diagnostics(
         ("x", "y", "origin"),
         [(emb.coords[i, 0], emb.coords[i, 1], int(sub_origin[i])) for i in range(keep.size)],
     )
-    group_names = {0: "majority", 1: "minority", 2: "synthetic"}
-    clouds = []
-    for g in (0, 1, 2):
-        mask = sub_origin == g
-        if np.any(mask):
-            clouds.append(Series(
-                group_names[g],
-                tuple(emb.coords[mask, 0]),
-                tuple(emb.coords[mask, 1]),
-            ))
+    clouds = [
+        Series(group, tuple(emb.coords[sub_origin == g, 0]), tuple(emb.coords[sub_origin == g, 1]))
+        for g, group in ORIGIN_NAMES.items()
+        if np.any(sub_origin == g)
+    ]
     svg = scatter_chart(
         clouds, f"t-SNE of {method}-balanced training rows", "dim 1", "dim 2"
     )

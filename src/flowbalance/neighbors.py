@@ -26,11 +26,9 @@ STD_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class StandardizedView:
-    """A dataset together with its z-scored copy."""
+    """A dataset together with the coordinates its neighbors are ranked in."""
 
     source: Dataset
-    means: np.ndarray
-    stds: np.ndarray  # floored; constant columns keep scale 1
     scaled: np.ndarray
 
     def scope_indices(self, scope: str) -> np.ndarray:
@@ -55,16 +53,15 @@ class NeighborQuery:
             raise ParameterError(f"unknown scope {self.scope!r}")
 
 
-def zscore(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(means, stds, scaled) of a matrix under population statistics.
+def zscore(features: np.ndarray) -> np.ndarray:
+    """A matrix z-scored with population statistics.
 
     Columns whose standard deviation falls below ``STD_FLOOR`` are treated
     as constant and scaled by 1, so they map to all zeros.
     """
-    means = features.mean(axis=0)
     stds = features.std(axis=0)
     stds = np.where(stds <= STD_FLOOR, 1.0, stds)
-    return means, stds, (features - means) / stds
+    return (features - features.mean(axis=0)) / stds
 
 
 def standardize(dataset: Dataset, raw: bool = False) -> StandardizedView:
@@ -75,11 +72,7 @@ def standardize(dataset: Dataset, raw: bool = False) -> StandardizedView:
     """
     if dataset.n < 2:
         raise ParameterError("standardize needs at least 2 rows")
-    if raw:
-        means = np.zeros(dataset.d)
-        stds = np.ones(dataset.d)
-        return StandardizedView(dataset, means, stds, dataset.features)
-    return StandardizedView(dataset, *zscore(dataset.features))
+    return StandardizedView(dataset, dataset.features if raw else zscore(dataset.features))
 
 
 # float64 elements of one query chunk's (chunk, scope) distance block

@@ -20,6 +20,7 @@ interpolation coefficient), which the test suite uses as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,11 +32,14 @@ from .errors import (
     NoBorderlineError,
     ParameterError,
 )
-from .neighbors import StandardizedView, _knn_block, knn_table, standardize, zscore
+from .neighbors import StandardizedView, _knn_block, knn_table, zscore
 
 ORIGIN_MAJORITY = 0
 ORIGIN_MINORITY = 1
 ORIGIN_SYNTHETIC = 2
+ORIGIN_NAMES = {
+    ORIGIN_MAJORITY: "majority", ORIGIN_MINORITY: "minority", ORIGIN_SYNTHETIC: "synthetic",
+}
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,23 @@ class OversampleConfig:
             raise ParameterError("beta must be positive")
 
 
+def stack_synthetic(
+    features: np.ndarray, labels: np.ndarray, synthetic: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features, labels, origin) of real rows followed by synthetic minority rows.
+
+    Real rows are tagged ``ORIGIN_MINORITY`` or ``ORIGIN_MAJORITY`` by
+    label, synthetic rows ``ORIGIN_SYNTHETIC`` with label 1.
+    """
+    n = synthetic.shape[0]
+    origin = np.where(labels == 1, ORIGIN_MINORITY, ORIGIN_MAJORITY)
+    return (
+        np.vstack([features, synthetic]),
+        np.concatenate([labels, np.ones(n, dtype=np.int64)]),
+        np.concatenate([origin, np.full(n, ORIGIN_SYNTHETIC)]).astype(np.int64),
+    )
+
+
 @dataclass(frozen=True)
 class AugmentedSet:
     """Original rows plus synthetic minority rows, with provenance.
@@ -82,6 +103,7 @@ class AugmentedSet:
     everything). ``parent_idx`` and ``neighbor_idx`` reference minority
     rows of ``base`` and ``delta`` is the interpolation coefficient, so
     row ``j`` is ``base[parent] + (base[neighbor] - base[parent]) * delta``.
+    ``features``, ``labels`` and ``origin`` are the three parts of ``stacked``.
     """
 
     base: Dataset
@@ -92,30 +114,26 @@ class AugmentedSet:
     base_kept: np.ndarray
     synthetic_kept: np.ndarray
 
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(features, labels, origin) of the retained rows, base first."""
+        return stack_synthetic(
+            self.base.features[self.base_kept],
+            self.base.labels[self.base_kept],
+            self.synthetic[self.synthetic_kept],
+        )
+
     @property
     def features(self) -> np.ndarray:
-        """Feature matrix of all retained rows (base first, then synthetic)."""
-        return np.vstack([
-            self.base.features[self.base_kept],
-            self.synthetic[self.synthetic_kept],
-        ])
+        return self.stacked[0]
 
     @property
     def labels(self) -> np.ndarray:
-        """Labels of retained rows; synthetic rows are minority by construction."""
-        kept_synth = int(np.sum(self.synthetic_kept))
-        return np.concatenate([
-            self.base.labels[self.base_kept],
-            np.ones(kept_synth, dtype=np.int64),
-        ])
+        return self.stacked[1]
 
     @property
     def origin(self) -> np.ndarray:
-        """Per retained row: 0 majority, 1 minority, 2 synthetic minority."""
-        base_tags = np.where(self.base.labels[self.base_kept] == 1,
-                             ORIGIN_MINORITY, ORIGIN_MAJORITY)
-        synth_tags = np.full(int(np.sum(self.synthetic_kept)), ORIGIN_SYNTHETIC)
-        return np.concatenate([base_tags, synth_tags]).astype(np.int64)
+        return self.stacked[2]
 
     def to_dataset(self) -> Dataset:
         return Dataset(self.features, self.labels, self.base.feature_names)
@@ -132,6 +150,11 @@ def _resolve_target(cfg: OversampleConfig, n_min: int, n_maj: int) -> int:
             f"target minority count {target} must exceed the current count {n_min}"
         )
     return target
+
+
+def _distance_space(feats: np.ndarray, cfg: OversampleConfig) -> np.ndarray:
+    """Coordinates for neighbor search: z-scored unless ``standardized_distances`` is off."""
+    return zscore(feats) if cfg.standardized_distances else feats
 
 
 def _check_minority(n_min: int, k: int) -> None:
@@ -178,7 +201,7 @@ def smote(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
     target = _resolve_target(cfg, part.n_minority, part.n_majority)
     m = target - part.n_minority
     rng = np.random.default_rng(seed)
-    view = standardize(data, raw=not cfg.standardized_distances)
+    view = StandardizedView(data, _distance_space(data.features, cfg))
     neighbor_lists = knn_table(view, part.minority_idx, cfg.k, scope="minority")
     synthetic, parents, neighbors, delta = _interpolate(
         data, part.minority_idx, neighbor_lists, m, rng
@@ -195,7 +218,7 @@ def danger_set(data: Dataset, cfg: OversampleConfig) -> np.ndarray:
     not all) and NOISE when m' = k. Returns global row indices.
     """
     part = partition(data)
-    view = standardize(data, raw=not cfg.standardized_distances)
+    view = StandardizedView(data, _distance_space(data.features, cfg))
     return _danger_rows(data, cfg, part, view)
 
 
@@ -226,7 +249,7 @@ def borderline_smote(data: Dataset, cfg: OversampleConfig, seed: int) -> Augment
     _check_minority(part.n_minority, cfg.k)
     target = _resolve_target(cfg, part.n_minority, part.n_majority)
     m = target - part.n_minority
-    view = standardize(data, raw=not cfg.standardized_distances)
+    view = StandardizedView(data, _distance_space(data.features, cfg))
     danger = _danger_rows(data, cfg, part, view)
     if danger.size == 0:
         raise NoBorderlineError("no minority point falls in the danger band")
@@ -237,19 +260,6 @@ def borderline_smote(data: Dataset, cfg: OversampleConfig, seed: int) -> Augment
     )
     base_kept, synth_kept = _fresh_masks(data, m)
     return AugmentedSet(data, synthetic, parents, neighbors, delta, base_kept, synth_kept)
-
-
-def _combined_matrix(aug: AugmentedSet) -> tuple[np.ndarray, np.ndarray]:
-    feats = np.vstack([aug.base.features, aug.synthetic])
-    labels = np.concatenate([
-        aug.base.labels,
-        np.ones(aug.synthetic.shape[0], dtype=np.int64),
-    ])
-    return feats, labels
-
-
-def _standardize_matrix(feats: np.ndarray, standardized: bool) -> np.ndarray:
-    return zscore(feats)[2] if standardized else feats
 
 
 def enn_misclassified(
@@ -280,8 +290,8 @@ def smote_enn(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
         DegenerateEditError: if editing empties a class.
     """
     aug = smote(data, cfg, seed)
-    feats, labels = _combined_matrix(aug)
-    scaled = _standardize_matrix(feats, cfg.standardized_distances)
+    feats, labels, _ = stack_synthetic(aug.base.features, aug.base.labels, aug.synthetic)
+    scaled = _distance_space(feats, cfg)
     removed, neigh = enn_misclassified(scaled, labels, cfg.k)
     if cfg.enn_mode == "paper-literal":
         extra = np.zeros_like(removed)
@@ -291,8 +301,7 @@ def smote_enn(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
     kept_labels = labels[kept]
     if not np.any(kept_labels == 1) or not np.any(kept_labels == 0):
         raise DegenerateEditError("neighbor editing removed an entire class")
-    n = data.n
-    return replace(aug, base_kept=kept[:n], synthetic_kept=kept[n:])
+    return replace(aug, base_kept=kept[:data.n], synthetic_kept=kept[data.n:])
 
 
 def tomek_links(
@@ -335,8 +344,8 @@ def smote_tomek(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet
     nearest neighbor was just removed (see :func:`tomek_links`).
     """
     aug = smote(data, cfg, seed)
-    feats, labels = _combined_matrix(aug)
-    scaled = _standardize_matrix(feats, cfg.standardized_distances)
+    feats, labels, _ = stack_synthetic(aug.base.features, aug.base.labels, aug.synthetic)
+    scaled = _distance_space(feats, cfg)
     alive = np.ones(feats.shape[0], dtype=bool)
     nearest = np.full(feats.shape[0], -1, dtype=np.int64)
     while True:
@@ -349,8 +358,7 @@ def smote_tomek(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet
             alive[i] = alive[j] = False
         else:
             alive[np.where(labels[i] == 0, i, j)] = False
-    n = data.n
-    return replace(aug, base_kept=alive[:n], synthetic_kept=alive[n:])
+    return replace(aug, base_kept=alive[:data.n], synthetic_kept=alive[data.n:])
 
 
 def adaptive_quotas(r_hat: np.ndarray, total: int) -> np.ndarray:
@@ -388,7 +396,7 @@ def adasyn(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
     if cfg.k >= data.n:
         raise ParameterError(f"k={cfg.k} must be smaller than the row count {data.n}")
     rng = np.random.default_rng(seed)
-    view = standardize(data, raw=not cfg.standardized_distances)
+    view = StandardizedView(data, _distance_space(data.features, cfg))
     all_neigh = knn_table(view, part.minority_idx, cfg.k, scope="all")
     delta_counts = np.sum(data.labels[all_neigh] == 0, axis=1)
     if delta_counts.sum() == 0:

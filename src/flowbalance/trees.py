@@ -390,11 +390,14 @@ class HyperGrid:
     kind: str
     axes: tuple[tuple[str, tuple], ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        for name, values in self.axes:
+            if not values:
+                raise ParameterError(f"grid axis {name!r} has no values")
+
     def points(self) -> list[dict]:
-        names = [a[0] for a in self.axes]
-        values = [a[1] for a in self.axes]
-        if not names:
-            return [{}]
+        names = [name for name, _ in self.axes]
+        values = [vals for _, vals in self.axes]
         return [dict(zip(names, combo)) for combo in itertools.product(*values)]
 
 

@@ -20,7 +20,7 @@ from flowbalance.evaluate import (
     f1_score,
     ks_report,
     ks_two_sample,
-    log_histogram_pair,
+    log_histograms,
     stratified_kfold,
     tsne,
 )
@@ -236,35 +236,81 @@ class TestKsReport:
         assert len(lines) == 3
 
 
+def explicit_log_counts(sample, edges):
+    """Per-bin counts of log10 of the positive values, one value at a time:
+    bin i holds edges[i] <= v < edges[i + 1], and the last bin also holds
+    its right edge."""
+    sample = np.asarray(sample, dtype=np.float64)
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    for v in np.log10(sample[sample > 0]):
+        for i in range(edges.size - 1):
+            if edges[i] <= v < edges[i + 1] or (i == edges.size - 2 and v == edges[-1]):
+                counts[i] += 1
+                break
+    return counts
+
+
+def assert_shared_log_grid(samples, edges, n_bins=40):
+    """The edges are n_bins equal steps from the smallest to the largest
+    log10 of a positive value over all samples."""
+    pooled = np.concatenate([np.asarray(s, dtype=np.float64) for s in samples])
+    pooled = pooled[pooled > 0]
+    assert edges.size == n_bins + 1
+    assert edges[0] == np.log10(pooled.min())
+    assert edges[-1] == pytest.approx(np.log10(pooled.max()), abs=1e-12)
+    assert np.allclose(np.diff(edges), (edges[-1] - edges[0]) / n_bins)
+
+
 class TestLogHistograms:
     def test_constant_values_occupy_one_bin(self):
-        edges, rc, sc = log_histogram_pair([5.0, 5.0, 5.0], [5.0, 5.0, 5.0])
-        assert np.count_nonzero(rc) == 1
-        assert rc.sum() == 3
-        assert np.array_equal(rc, sc)
+        samples = [[5.0, 5.0, 5.0], [5.0, 5.0], [5.0]]
+        edges, counts = log_histograms(samples)
+        assert edges[0] == np.log10(5.0)
+        assert edges[-1] == pytest.approx(np.log10(5.0) + 1e-9, abs=1e-15)
+        for sample, c in zip(samples, counts):
+            assert np.count_nonzero(c) == 1
+            assert c.sum() == len(sample)
+            assert np.array_equal(c, explicit_log_counts(sample, edges))
 
     def test_identical_classes_identical_counts(self, rng):
         vals = rng.lognormal(size=500)
-        edges, rc, sc = log_histogram_pair(vals, vals.copy())
-        assert np.array_equal(rc, sc)
+        edges, (a, b) = log_histograms([vals, vals.copy()])
+        assert np.array_equal(a, b)
         assert edges.size == 41
+
+    def test_three_samples_match_explicit_bin_counts(self, rng):
+        samples = [
+            rng.lognormal(mean=1.0, sigma=1.0, size=300),
+            rng.lognormal(mean=3.0, sigma=0.5, size=200),
+            np.concatenate([rng.lognormal(size=100), [-2.0, 0.0]]),
+        ]
+        edges, counts = log_histograms(samples, n_bins=25)
+        assert_shared_log_grid(samples, edges, n_bins=25)
+        assert len(counts) == 3
+        for sample, c in zip(samples, counts):
+            assert np.array_equal(c, explicit_log_counts(sample, edges))
+        assert [int(c.sum()) for c in counts] == [300, 200, 100]
 
     def test_resampled_lognormal_l1_small(self):
         rng = np.random.default_rng(6)
         a = rng.lognormal(mean=2.0, sigma=1.0, size=20_000)
         b = rng.lognormal(mean=2.0, sigma=1.0, size=20_000)
-        _, rc, sc = log_histogram_pair(a, b)
+        _, (rc, sc) = log_histograms([a, b])
         l1 = np.abs(rc / rc.sum() - sc / sc.sum()).sum()
         assert l1 < 0.1
 
     def test_non_positive_values_dropped(self):
-        edges, rc, sc = log_histogram_pair([1.0, -3.0, 0.0, 10.0], [1.0, 10.0])
-        assert rc.sum() == 2
-        assert sc.sum() == 2
+        # the last sample has no positive value and still gets a row of zeros
+        samples = [[1.0, -3.0, 0.0, 10.0], [1.0, 10.0, 3.0], [-1.0, 0.0]]
+        edges, counts = log_histograms(samples)
+        assert_shared_log_grid(samples, edges)
+        assert [int(c.sum()) for c in counts] == [2, 3, 0]
+        for sample, c in zip(samples, counts):
+            assert np.array_equal(c, explicit_log_counts(sample, edges))
+        assert counts[0][0] == 1 and counts[0][-1] == 1
 
-    def test_all_non_positive_raises(self):
-        with pytest.raises(ParameterError):
-            log_histogram_pair([-1.0, 0.0], [1.0])
+    def test_all_non_positive_returns_none(self):
+        assert log_histograms([[-1.0, 0.0], [0.0], []]) is None
 
 
 def two_cluster_cloud(n_per=60, d=10, gap=8.0, seed=0):

@@ -10,7 +10,7 @@ import pytest
 
 from flowbalance.cli import main
 from flowbalance.dataset import generate_flows, save_csv
-from flowbalance.errors import SchemaError
+from flowbalance.errors import ParameterError, SchemaError
 from flowbalance.oversample import oversample
 from flowbalance.harness import (
     Cell,
@@ -75,11 +75,54 @@ class TestExperimentConfig:
             {"grids": {"tree": {"max_depth": 3}}},
             {"grids": {"boost": [("n_rounds", [5])]}},
             {"grids": [("tree", {"max_depth": [3]})]},
+            {"grids": {"tree": {"max_depth": ["a"]}}},
+            {"grids": {"boost": {"n_rounds": [2.5]}}},
+            {"grids": {"forest": {"bootstrap": [1]}}},
+            {"grids": {"tree": {"max_depth": [None]}}},
+            {"oversample": {"bogus": 1}},
+            {"gan": {"hidden": [8], "bogus": 1}},
+            {"gan": [("epochs", 3)]},
         ],
     )
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(SchemaError):
             ExperimentConfig(out_dir="x", **bad)
+
+    def test_grid_values_of_every_parameter_type_accepted(self):
+        grids = {
+            "forest": {"n_features": [None, 2], "bootstrap": [True, False]},
+            "boost": {"learning_rate": [1, 0.5], "n_rounds": [3]},
+        }
+        assert ExperimentConfig(out_dir="x", grids=grids).grids == grids
+
+    def test_bad_section_values_fail_with_their_typed_error(self, tmp_path):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(out_dir=str(tmp_path / "a"), gan={"epochs": 0})
+        with pytest.raises(ParameterError):
+            ExperimentConfig(out_dir=str(tmp_path / "b"), oversample={"k": 0})
+        with pytest.raises(SchemaError):
+            DataConfig(profile={"bogus": 1})
+        with pytest.raises(SchemaError):
+            ExperimentConfig.from_dict({"out_dir": "x", "data": {"profile": {"bogus": 1}}})
+        assert not any(tmp_path.iterdir())  # rejected before the run makes out_dir
+
+    def test_sections_build_with_tuples_and_keep_the_hash(self):
+        # hashes computed when each section was still built at run time
+        assert ExperimentConfig(out_dir="x").config_hash() == "3e5456d9a9d0d91f"
+        cfg = ExperimentConfig(
+            out_dir="y",
+            data=DataConfig(profile={"size_modes": [[5.0, 0.5, 1.0]], "separation": 0.6}),
+            oversample={"danger_band": [0.4, 0.9], "k": 3},
+            gan={"hidden": [8, 8], "epochs": 30},
+            grids={"forest": {"n_features": [None, 2], "bootstrap": [True, False]}},
+        )
+        assert cfg.config_hash() == "b49f108827655cea"
+        assert cfg.data.flow_profile.size_modes == ((5.0, 0.5, 1.0),)
+        assert cfg.data.flow_profile.separation == 0.6
+        assert cfg.oversample_config.danger_band == (0.4, 0.9)
+        assert cfg.oversample_config.k == 3
+        assert cfg.gan_config.hidden == (8, 8)
+        assert cfg.gan_config.epochs == 30
 
     def test_from_file_round_trip(self, tmp_path):
         cfg = small_config(tmp_path / "out")
@@ -221,8 +264,9 @@ class TestDiagnostics:
         majority = rng.lognormal(mean=4.0, sigma=0.5, size=(40, 3))
         feats = np.vstack([majority, minority, minority])  # synthetic = copy
         origin = np.concatenate([np.zeros(40), np.ones(40), np.full(40, 2)]).astype(int)
+        labels = (origin > 0).astype(int)
         written = write_distribution_diagnostics(
-            feats, origin, ("a", "b", "c"), tmp_path, seed=0, cap=120,
+            (feats, labels, origin), ("a", "b", "c"), tmp_path, seed=0, cap=120,
             method="ctgan",
         )
         assert set(written) == {
@@ -256,7 +300,8 @@ class TestDiagnostics:
         feats = rng.lognormal(size=(30, 2))
         origin = np.concatenate([np.zeros(20), np.ones(10)]).astype(int)
         written = write_distribution_diagnostics(
-            feats, origin, ("a", "b"), tmp_path, seed=0, cap=30, method="smote"
+            (feats, (origin > 0).astype(int), origin), ("a", "b"), tmp_path, seed=0, cap=30,
+            method="smote",
         )
         assert written == []
         assert not (tmp_path / "ks_report.csv").exists()
@@ -419,6 +464,28 @@ class TestRunExperimentEdges:
         cfg = small_config(tmp_path, methods=("none", "smote"), seeds=(0,))
         with pytest.raises(IndexError):
             run_experiment(cfg)
+
+    def test_numeric_failure_in_diagnostics_set_keeps_the_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # smote at the first ratio and last seed is the diagnostics set; a
+        # numeric breakdown while building it is a failed cell, and the run
+        # still writes its report without the diagnostics
+        def overflowing(method, *args, **kwargs):
+            if method == "smote":
+                raise FloatingPointError("overflow encountered in multiply")
+            return oversample(method, *args, **kwargs)
+
+        monkeypatch.setattr("flowbalance.harness.oversample", overflowing)
+        report = run_experiment(small_config(tmp_path, seeds=(0,)))
+        assert (tmp_path / "report.json").exists()
+        smote_cells = [r for r in report.cells if r.cell.method == "smote"]
+        assert smote_cells
+        for r in smote_cells:
+            assert r.error == "augment: FloatingPointError: overflow encountered in multiply"
+        assert all(r.error is None for r in report.cells if r.cell.method == "none")
+        assert "diagnostics skipped: augment: FloatingPointError" in capsys.readouterr().err
+        assert "histograms.csv" not in report.artifacts
 
     def test_generative_method_end_to_end(self, tmp_path):
         cfg = small_config(

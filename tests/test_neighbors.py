@@ -41,7 +41,8 @@ class TestStandardize:
     def test_constant_column_maps_to_zero(self):
         view = standardize(plain_dataset([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
         assert np.all(view.scaled[:, 0] == 0.0)
-        assert view.stds[0] == 1.0
+        want = np.array([-1.224744871391589, 0.0, 1.224744871391589])
+        assert np.allclose(view.scaled[:, 1], want, atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)

@@ -301,7 +301,7 @@ def full_rescan_tomek(data, cfg, seed):
     aug = smote(data, cfg, seed)
     feats = np.vstack([aug.base.features, aug.synthetic])
     labels = np.concatenate([aug.base.labels, np.ones(len(aug.synthetic), dtype=np.int64)])
-    scaled = zscore(feats)[2] if cfg.standardized_distances else feats
+    scaled = zscore(feats) if cfg.standardized_distances else feats
     alive = np.ones(len(feats), dtype=bool)
     rounds = 0
     while True:

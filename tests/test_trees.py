@@ -417,6 +417,11 @@ class TestGridSearch:
         with pytest.raises(StratificationError):
             grid_search(feats, labels, grid, n_folds=5, seed=0)
 
+    def test_empty_axis_raises(self):
+        feats, labels = noisy_halfspace(60, 2, seed=18)
+        with pytest.raises(ParameterError):
+            grid_search(feats, labels, HyperGrid("tree", (("max_depth", ()),)), n_folds=3, seed=0)
+
 
 def test_fits_leave_no_garbage_cycles():
     # A fit that leaves reference cycles keeps its node arrays alive until
