@@ -14,7 +14,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from flowbalance.evaluate import write_csv
 from flowbalance.gan import GanConfig, train_gan
 
 
@@ -48,11 +47,7 @@ def main() -> int:
     print(f"D accuracy        {acc:.3f}  (0.5 = fooled)")
 
     if args.out:
-        write_csv(
-            args.out,
-            ("epoch", "d_loss", "g_loss", "value"),
-            model.trace.rows,
-        )
+        model.trace.to_csv(args.out)
         print(f"loss trace -> {args.out}")
     return 0
 

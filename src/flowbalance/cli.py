@@ -27,7 +27,7 @@ from .dataset import (
     save_csv,
     standard_schemes,
 )
-from .errors import FlowBalanceError
+from .errors import FlowBalanceError, SchemaError
 from .evaluate import f1_score
 from .gan import GanConfig
 from .harness import (
@@ -53,6 +53,13 @@ def _add_label_flags(p: argparse.ArgumentParser) -> None:
                    help="name of the 0/1 label column")
     p.add_argument("--slow-threshold", type=float, default=None,
                    help="derive labels as tput < threshold instead of a label column")
+
+
+def _model_params(args) -> dict:
+    try:
+        return json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"--params is not valid JSON: {exc}") from exc
 
 
 def _balanced(args, data: Dataset):
@@ -97,7 +104,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_train(args) -> int:
     data = _load_labeled_csv(args)
-    params = json.loads(args.params) if args.params else {}
+    params = _model_params(args)
     model = fit_model(args.model, data.features, data.labels, params, args.seed)
     train_f1 = f1_score(data.labels, model.predict(data.features))
     summary = model.summary()
@@ -113,7 +120,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     train = load_csv(args.train, args.label_column, args.slow_threshold)
     test = load_csv(args.test, args.label_column, args.slow_threshold)
-    params = json.loads(args.params) if args.params else {}
+    params = _model_params(args)
     model = fit_model(args.model, train.features, train.labels, params, args.seed)
     f1 = f1_score(test.labels, model.predict(test.features))
     print(f"test F1 = {f1:.3f}")
@@ -235,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FlowBalanceError as exc:
+    except (FlowBalanceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

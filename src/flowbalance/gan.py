@@ -1,11 +1,13 @@
 """Adversarial generators for synthetic minority rows.
 
-Two trainers share one loop skeleton. ``train_gan`` works on min-max
-scaled features with a tanh generator head. ``train_ctgan`` works on the
-mode encoding from :mod:`flowbalance.mixtures` and gives the generator a
-mixed tanh/softmax head matching the encoding layout. Flow features are
-all continuous, so neither trainer conditions its nets: the generator
-sees noise only and the discriminator sees encoded rows only.
+``train_gan`` and ``train_ctgan`` differ only in how rows are encoded:
+a min-max scaling for the GAN, and the mode encoding from
+:mod:`flowbalance.mixtures` for CTGAN. Each fits its normalizer and
+encodes the training rows; one body then builds the generator head from
+the normalizer's layout (tanh columns and softmax blocks) and runs the
+shared adversarial loop. Flow features are all continuous, so neither
+trainer conditions its nets: the generator sees noise only and the
+discriminator sees encoded rows only.
 
 Both optimize the usual two-player value: the discriminator maximizes
 ``E[log D(x)] + E[log(1 - D(G(z)))]`` while the generator uses the
@@ -17,11 +19,11 @@ value on a fixed probe batch is logged every epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientMinorityError, ParameterError, TrainingDivergedError
+from .evaluate import write_csv
 from .mixtures import MinMaxNormalizer, ModeNormalizer
 from .nets import FeedforwardNet, MixedActivation, SgdMomentum, sigmoid
 
@@ -70,41 +72,28 @@ class LossTrace:
         return np.asarray([r[idx] for r in self.rows], dtype=np.float64)
 
     def to_csv(self, path) -> None:
-        lines = [",".join(self.HEADER)]
-        for epoch, d_loss, g_loss, value in self.rows:
-            lines.append(f"{epoch},{repr(d_loss)},{repr(g_loss)},{repr(value)}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, self.HEADER, self.rows)
 
 
 @dataclass
 class GeneratorModel:
     """A trained generator/discriminator pair plus its data encoding."""
 
-    kind: str  # "gan" or "ctgan"
     g_net: FeedforwardNet
     d_net: FeedforwardNet
     head: MixedActivation
-    noise_dim: int
     normalizer: MinMaxNormalizer | ModeNormalizer
     trace: LossTrace
-    feature_names: tuple[str, ...]
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw n synthetic rows on the original feature scale."""
         rng = np.random.default_rng(seed)
-        z = rng.normal(size=(n, self.noise_dim))
-        raw = self.head.forward(self.g_net.forward(z))
-        if self.kind == "gan":
-            return self.normalizer.inverse(raw)
-        return self.normalizer.decode(raw, harden=True)
+        z = rng.normal(size=(n, self.g_net.layer_sizes[0]))
+        return self.normalizer.decode(self.head.forward(self.g_net.forward(z)), harden=True)
 
     def discriminator_prob(self, features: np.ndarray) -> np.ndarray:
         """P(real) the discriminator assigns to rows on the original scale."""
-        if self.kind == "gan":
-            enc = self.normalizer.transform(features)
-        else:
-            enc = self.normalizer.encode(features)
-        return sigmoid(self.d_net.forward(enc)[:, 0])
+        return sigmoid(self.d_net.forward(self.normalizer.encode(features))[:, 0])
 
 
 def _adversarial_loop(
@@ -184,45 +173,26 @@ def _adversarial_loop(
     return g_net, d_net, LossTrace(tuple(trace_rows))
 
 
-def train_gan(
-    features: np.ndarray,
-    config: GanConfig,
-    feature_names: tuple[str, ...] = (),
+def _train(
+    normalizer: MinMaxNormalizer | ModeNormalizer, encoded: np.ndarray, config: GanConfig
 ) -> GeneratorModel:
-    """Train a plain GAN on min-max scaled features."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise ParameterError("need a 2-D feature matrix with at least two rows")
-    norm = MinMaxNormalizer().fit(features)
-    encoded = norm.transform(features)
-    head = MixedActivation(tanh_cols=tuple(range(encoded.shape[1])))
+    """Train on rows ``normalizer`` encoded, with a head laid out like its encoding."""
+    head = MixedActivation(normalizer.tanh_cols, normalizer.softmax_blocks)
     g_net, d_net, trace = _adversarial_loop(encoded, head, config=config)
-    names = feature_names or tuple(f"f{j}" for j in range(features.shape[1]))
-    return GeneratorModel(
-        "gan", g_net, d_net, head, config.noise_dim, norm, trace, names
-    )
+    return GeneratorModel(g_net, d_net, head, normalizer, trace)
 
 
-def train_ctgan(
-    features: np.ndarray,
-    config: GanConfig,
-    feature_names: tuple[str, ...] = (),
-) -> GeneratorModel:
+def train_gan(features: np.ndarray, config: GanConfig) -> GeneratorModel:
+    """Train a plain GAN on min-max scaled features."""
+    norm = MinMaxNormalizer.fit(features)
+    return _train(norm, norm.encode(features), config)
+
+
+def train_ctgan(features: np.ndarray, config: GanConfig) -> GeneratorModel:
     """Train a GAN on the per-column mode encoding.
 
-    The generator's output head matches the encoding layout: tanh on each
-    column's offset and a softmax over each column's mode indicators.
+    Each training value's mode is drawn from its posterior, with an rng
+    seeded by ``config.seed``.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise ParameterError("need a 2-D feature matrix with at least two rows")
-    names = feature_names or tuple(f"f{j}" for j in range(features.shape[1]))
-    rng = np.random.default_rng(config.seed)
-    norm = ModeNormalizer(max_modes=config.max_modes).fit(features, names)
-    layout = norm.layout
-    encoded = norm.encode(features, rng)
-    head = MixedActivation(layout.tanh_cols, layout.softmax_blocks)
-    g_net, d_net, trace = _adversarial_loop(encoded, head, config=config)
-    return GeneratorModel(
-        "ctgan", g_net, d_net, head, config.noise_dim, norm, trace, names
-    )
+    norm = ModeNormalizer.fit(features, config.max_modes)
+    return _train(norm, norm.encode(features, np.random.default_rng(config.seed)), config)

@@ -35,7 +35,7 @@ from .oversample import (
     ORIGIN_MINORITY, ORIGIN_NAMES, ORIGIN_SYNTHETIC, OversampleConfig, oversample, stack_synthetic,
 )
 from .svg import Series, line_chart, scatter_chart
-from .trees import MODEL_CONFIGS, MODEL_KINDS, HyperGrid, fit_model, grid_search
+from .trees import MODEL_CONFIGS, MODEL_KINDS, HyperGrid, check_params, fit_model, grid_search
 
 METHOD_ORDER = (
     "none", "smote", "borderline", "smote_enn", "smote_tomek", "adasyn", "gan", "ctgan",
@@ -84,8 +84,8 @@ def _section(base, overrides, name: str):
     return dataclasses.replace(base, **{k: _tuples(v) for k, v in overrides.items()})
 
 
-# grid value types by the type of the parameter's default (n_features: int or None)
-_GRID_TYPES = {bool: (bool,), int: (int,), float: (int, float), type(None): (int, type(None))}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,11 @@ class DataConfig:
             raise SchemaError(f"unknown data source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise SchemaError("csv source needs csv_path")
+        # the bounds generate_flows puts on a generated population
+        if not _is_int(self.n_total) or self.n_total < 10:
+            raise SchemaError(f"n_total must be an integer of at least 10, got {self.n_total!r}")
+        if not isinstance(self.population_ir, (int, float)) or not 0 < self.population_ir <= 1:
+            raise SchemaError(f"population_ir must be in (0, 1], got {self.population_ir!r}")
         self.flow_profile  # built now, so a bad profile fails here and not mid-run
 
     @cached_property
@@ -136,10 +141,12 @@ class ExperimentConfig:
                 f"config schema version {self.schema_version} is not supported "
                 f"(expected {SCHEMA_VERSION})"
             )
-        if not self.methods:
-            raise SchemaError("methods list must be non-empty")
-        if not self.classifiers:
-            raise SchemaError("classifiers list must be non-empty")
+        if not isinstance(self.data, DataConfig):
+            raise SchemaError(f"data must be a DataConfig, got {self.data!r}")
+        for name in ("methods", "classifiers", "train_irs", "seeds"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise SchemaError(f"{name} must be a non-empty list, got {values!r}")
         for m in self.methods:
             if m not in METHOD_ORDER:
                 raise SchemaError(f"unknown method {m!r}")
@@ -147,12 +154,16 @@ class ExperimentConfig:
             if c not in MODEL_KINDS:
                 raise SchemaError(f"unknown classifier {c!r}")
         for ir in self.train_irs:
-            if not 0.0 < ir <= 1.0:
-                raise SchemaError(f"imbalance ratio {ir} outside (0, 1]")
-        if not self.train_irs or not self.seeds:
-            raise SchemaError("need at least one imbalance ratio and one seed")
+            if not isinstance(ir, (int, float)) or not 0.0 < ir <= 1.0:
+                raise SchemaError(f"imbalance ratio {ir!r} outside (0, 1]")
+        if not all(_is_int(seed) for seed in self.seeds):
+            raise SchemaError(f"seeds must be integers, got {self.seeds!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise SchemaError("test_fraction must be in (0, 1)")
+        for name, least in (("train_minority", 1), ("n_folds", 2), ("tsne_cap", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise SchemaError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not isinstance(self.grids, dict):
             raise SchemaError("grids must map classifier kinds to parameter grids")
         for kind, axes in self.grids.items():
@@ -160,17 +171,11 @@ class ExperimentConfig:
                 raise SchemaError(f"unknown grid kind {kind!r}")
             if not isinstance(axes, dict):
                 raise SchemaError(f"grid for {kind!r} must map parameter names to value lists")
-            defaults = {f.name: f.default for f in dataclasses.fields(MODEL_CONFIGS[kind])}
             for name, values in axes.items():
-                if name not in defaults:
-                    raise SchemaError(f"unknown {kind} grid parameter {name!r}")
                 if not isinstance(values, (list, tuple)) or not values:
                     raise SchemaError(f"{kind} grid axis {name!r} must be a non-empty list")
-                types = _GRID_TYPES[type(defaults[name])]
                 for value in values:
-                    # bool is an int subclass, so it fits only bool parameters
-                    if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
-                        raise SchemaError(f"{kind} grid value {value!r} does not fit {name!r}")
+                    check_params(kind, {name: value})
         # built now, so a bad section fails here and not mid-run
         self.oversample_config, self.gan_config
 
@@ -194,17 +199,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
+        raw = {key: _tuples(value) for key, value in raw.items()}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise SchemaError(f"unknown config keys: {sorted(unknown)}")
         if isinstance(raw.get("data"), dict):
             raw["data"] = _section(DataConfig(), raw["data"], "data")
-        casts = (("methods", str), ("classifiers", str), ("train_irs", float), ("seeds", int))
-        for key, cast in casts:
-            if key in raw:
-                raw[key] = tuple(cast(v) for v in raw[key])
+        # ratios stay floats, so a config that writes 1 hashes like one that writes 1.0
+        if isinstance(raw.get("train_irs"), tuple):
+            raw["train_irs"] = tuple(float(v) if _is_int(v) else v for v in raw["train_irs"])
         return cls(**raw)
 
     @classmethod
@@ -329,7 +333,7 @@ def train_generator(method: str, train: Dataset, cfg: GanConfig):
     """Fit the ``gan`` or ``ctgan`` generator on the minority rows of ``train``."""
     minority = train.features[partition(train).minority_idx]
     fit = train_gan if method == "gan" else train_ctgan
-    return fit(minority, cfg, train.feature_names)
+    return fit(minority, cfg)
 
 
 def balance_train_set(

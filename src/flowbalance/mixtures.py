@@ -1,12 +1,13 @@
-"""Per-column density modeling and the encodings built on it.
+"""Per-column density modeling and the two row encodings built on it.
 
 The continuous columns of flow data are heavy-tailed and often multimodal,
 so a single min-max squash loses structure. This module fits a 1-D
 Gaussian mixture per column by EM (model size chosen by BIC, trace kept so
-monotone convergence can be asserted), then encodes each value as a
-bounded offset within its mode plus a one-hot mode indicator. A simple
-[-1, 1] min-max normalizer is also provided for models that want a flat
-encoding.
+monotone convergence can be asserted). ``ModeNormalizer`` encodes each
+value as a bounded offset within its mode plus a one-hot mode indicator,
+``MinMaxNormalizer`` as a flat [-1, 1] min-max value. Both are frozen
+values built by ``fit`` with one interface: ``encode``, ``decode`` and
+the generator-head layout ``tanh_cols`` and ``softmax_blocks``.
 """
 
 from __future__ import annotations
@@ -161,35 +162,28 @@ class ColumnSpan:
     block (``beta`` is its half-open column range).
     """
 
-    name: str
     alpha: int
     beta: tuple[int, int]
     mixture: Mixture1D
 
 
-@dataclass(frozen=True)
-class EncodingLayout:
-    spans: tuple[ColumnSpan, ...]
-    width: int
-
-    @property
-    def tanh_cols(self) -> tuple[int, ...]:
-        return tuple(s.alpha for s in self.spans)
-
-    @property
-    def softmax_blocks(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s.beta for s in self.spans)
+def _matrix(features: np.ndarray) -> np.ndarray:
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] < 2:
+        raise ParameterError("need a 2-D feature matrix with at least two rows")
+    return features
 
 
-def _validate_onehot(block: np.ndarray, what: str) -> None:
+def _validate_onehot(block: np.ndarray, column: int) -> None:
     top = block.max(axis=1)
     total = block.sum(axis=1)
     ok = (np.abs(top - 1.0) < 1e-9) & (np.abs(total - 1.0) < 1e-9)
     if not np.all(ok):
         bad = int(np.flatnonzero(~ok)[0])
-        raise EncodingError(f"row {bad}: {what} block is not one-hot")
+        raise EncodingError(f"row {bad}: mode block of column {column} is not one-hot")
 
 
+@dataclass(frozen=True)
 class ModeNormalizer:
     """Column-wise mode encoding for continuous data.
 
@@ -201,42 +195,39 @@ class ModeNormalizer:
     output by taking block argmaxes and clipping alpha into [-1, 1].
     """
 
-    def __init__(self, max_modes: int = 10):
+    spans: tuple[ColumnSpan, ...]
+    width: int
+
+    @classmethod
+    def fit(cls, features: np.ndarray, max_modes: int = 10) -> "ModeNormalizer":
         if max_modes < 1:
             raise ParameterError("max_modes must be at least 1")
-        self.max_modes = max_modes
-        self.layout: EncodingLayout | None = None
-
-    def fit(
-        self, features: np.ndarray, feature_names: tuple[str, ...]
-    ) -> "ModeNormalizer":
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != len(feature_names):
-            raise ParameterError("features and feature_names disagree on width")
+        features = _matrix(features)
         spans: list[ColumnSpan] = []
         offset = 0
-        for j, name in enumerate(feature_names):
-            mix = select_mixture(features[:, j], self.max_modes)
+        for j in range(features.shape[1]):
+            mix = select_mixture(features[:, j], max_modes)
             k = mix.n_modes
-            spans.append(ColumnSpan(name, offset, (offset + 1, offset + 1 + k), mix))
+            spans.append(ColumnSpan(offset, (offset + 1, offset + 1 + k), mix))
             offset += 1 + k
-        self.layout = EncodingLayout(tuple(spans), offset)
-        return self
+        return cls(tuple(spans), offset)
 
-    def _require_fit(self) -> EncodingLayout:
-        if self.layout is None:
-            raise ParameterError("normalizer has not been fit")
-        return self.layout
+    @property
+    def tanh_cols(self) -> tuple[int, ...]:
+        return tuple(s.alpha for s in self.spans)
+
+    @property
+    def softmax_blocks(self) -> tuple[tuple[int, int], ...]:
+        return tuple(s.beta for s in self.spans)
 
     def encode(
         self, features: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
-        layout = self._require_fit()
         features = np.asarray(features, dtype=np.float64)
         n = features.shape[0]
-        out = np.zeros((n, layout.width))
+        out = np.zeros((n, self.width))
         rows = np.arange(n)
-        for j, span in enumerate(layout.spans):
+        for j, span in enumerate(self.spans):
             col = features[:, j]
             mix = span.mixture
             resp = mix.responsibilities(col)
@@ -251,19 +242,18 @@ class ModeNormalizer:
         return out
 
     def decode(self, encoded: np.ndarray, harden: bool = False) -> np.ndarray:
-        layout = self._require_fit()
         encoded = np.asarray(encoded, dtype=np.float64)
-        if encoded.ndim != 2 or encoded.shape[1] != layout.width:
+        if encoded.ndim != 2 or encoded.shape[1] != self.width:
             raise EncodingError(
-                f"expected encoded width {layout.width}, got {encoded.shape}"
+                f"expected encoded width {self.width}, got {encoded.shape}"
             )
         n = encoded.shape[0]
-        out = np.empty((n, len(layout.spans)))
-        for j, span in enumerate(layout.spans):
+        out = np.empty((n, len(self.spans)))
+        for j, span in enumerate(self.spans):
             b0, b1 = span.beta
             block = encoded[:, b0:b1]
             if not harden:
-                _validate_onehot(block, span.name)
+                _validate_onehot(block, j)
             mode = np.argmax(block, axis=1)
             mix = span.mixture
             alpha = encoded[:, span.alpha]
@@ -273,38 +263,40 @@ class ModeNormalizer:
         return out
 
 
+@dataclass(frozen=True)
 class MinMaxNormalizer:
     """Column-wise affine map onto [-1, 1] and back.
 
     Constant columns map to 0 and invert to their constant, so the
     round-trip stays exact for every column that carries information.
+    Every column is one tanh column of the generator head; ``decode`` with
+    ``harden=True`` clips into [-1, 1] first, which leaves tanh output
+    bit-for-bit as it is.
     """
 
-    def __init__(self):
-        self.lo: np.ndarray | None = None
-        self.span: np.ndarray | None = None
+    lo: np.ndarray
+    span: np.ndarray
 
-    def fit(self, features: np.ndarray) -> "MinMaxNormalizer":
+    softmax_blocks = ()
+
+    @classmethod
+    def fit(cls, features: np.ndarray) -> "MinMaxNormalizer":
+        features = _matrix(features)
+        lo = features.min(axis=0)
+        return cls(lo, features.max(axis=0) - lo)
+
+    @property
+    def tanh_cols(self) -> tuple[int, ...]:
+        return tuple(range(self.lo.size))
+
+    def encode(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] < 1:
-            raise ParameterError("need a non-empty 2-D feature matrix")
-        self.lo = features.min(axis=0)
-        self.span = features.max(axis=0) - self.lo
-        return self
+        safe = np.where(self.span > 0, self.span, 1.0)
+        scaled = 2.0 * (features - self.lo) / safe - 1.0
+        return np.where(self.span > 0, scaled, 0.0)
 
-    def _require_fit(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.lo is None or self.span is None:
-            raise ParameterError("normalizer has not been fit")
-        return self.lo, self.span
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        lo, span = self._require_fit()
-        features = np.asarray(features, dtype=np.float64)
-        safe = np.where(span > 0, span, 1.0)
-        scaled = 2.0 * (features - lo) / safe - 1.0
-        return np.where(span > 0, scaled, 0.0)
-
-    def inverse(self, scaled: np.ndarray) -> np.ndarray:
-        lo, span = self._require_fit()
-        scaled = np.asarray(scaled, dtype=np.float64)
-        return lo + (scaled + 1.0) / 2.0 * span
+    def decode(self, encoded: np.ndarray, harden: bool = False) -> np.ndarray:
+        encoded = np.asarray(encoded, dtype=np.float64)
+        if harden:
+            encoded = np.clip(encoded, -1.0, 1.0)
+        return self.lo + (encoded + 1.0) / 2.0 * self.span

@@ -16,12 +16,12 @@ level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import evaluate
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, SchemaError, ShapeError
 from .nets import sigmoid
 
 _EPS = 1e-12
@@ -370,11 +370,30 @@ def fit_boost(
 MODEL_CONFIGS = {"tree": TreeConfig, "forest": ForestConfig, "boost": BoostConfig}
 MODEL_KINDS = tuple(MODEL_CONFIGS)
 
+# value types by the type of the parameter's default (n_features: int or None)
+_PARAM_TYPES = {bool: (bool,), int: (int,), float: (int, float), type(None): (int, type(None))}
+
+
+def check_params(kind: str, params) -> None:
+    """Raise SchemaError unless ``params`` maps parameters of the ``kind``
+    config to values of their types."""
+    if not isinstance(params, dict):
+        raise SchemaError(f"{kind} parameters must map parameter names to values")
+    defaults = {f.name: f.default for f in fields(MODEL_CONFIGS[kind])}
+    for name, value in params.items():
+        if name not in defaults:
+            raise SchemaError(f"unknown {kind} parameter {name!r}")
+        types = _PARAM_TYPES[type(defaults[name])]
+        # bool is an int subclass, so it fits only bool parameters
+        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+            raise SchemaError(f"{kind} value {value!r} does not fit {name!r}")
+
 
 def fit_model(kind: str, features: np.ndarray, labels: np.ndarray, params: dict, seed: int = 0):
     """Fit a classifier by name with keyword overrides of its defaults."""
     if kind not in MODEL_CONFIGS:
         raise ParameterError(f"unknown model kind {kind!r}")
+    check_params(kind, params)
     config = MODEL_CONFIGS[kind](**params)
     if kind == "tree":
         return fit_tree(features, labels, config)

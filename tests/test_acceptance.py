@@ -391,13 +391,12 @@ def test_criterion_10_ctgan_covers_both_modes(criterion):
         low_mode, rng.normal(-4.0, 0.5, n), rng.normal(4.0, 0.5, n)
     )
     data = np.column_stack([bimodal, rng.normal(0.0, 1.0, n)])
-    names = ("bimodal", "plain")
 
-    normalizer = ModeNormalizer().fit(data, names)
+    normalizer = ModeNormalizer.fit(data)
     round_trip = normalizer.decode(normalizer.encode(data), harden=False)
     rt_err = float(np.abs(round_trip - data).max())
 
-    model = train_ctgan(data, GanConfig(epochs=300, seed=0), names)
+    model = train_ctgan(data, GanConfig(epochs=300, seed=0))
     out = model.sample(4000, seed=50)
     low_mass = float(np.mean(out[:, 0] < 0.0))
     min_mass = min(low_mass, 1.0 - low_mass)

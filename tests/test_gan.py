@@ -78,7 +78,7 @@ class TestTrainGan:
         assert out.shape == (0, 2)
 
     def test_samples_stay_within_training_box(self):
-        # tanh head plus min-max inverse bounds every column by the
+        # tanh head plus min-max decode bounds every column by the
         # training min/max, well inside the 10%-of-range slack
         feats = blob_features()
         model = train_gan(feats, tiny_config())
@@ -111,8 +111,8 @@ def test_discriminator_prob_range(train):
 class TestTrainCtgan:
     def test_no_discrete_means_no_condition(self):
         feats = blob_features()
-        model = train_ctgan(feats, tiny_config(), feature_names=("a", "b"))
-        width = model.normalizer.layout.width
+        model = train_ctgan(feats, tiny_config())
+        width = model.normalizer.width
         assert model.g_net.layer_sizes[0] == tiny_config().noise_dim  # noise only
         assert model.g_net.layer_sizes[-1] == width
         assert model.d_net.layer_sizes[0] == width  # encoded rows only

@@ -82,11 +82,23 @@ class TestExperimentConfig:
             {"oversample": {"bogus": 1}},
             {"gan": {"hidden": [8], "bogus": 1}},
             {"gan": [("epochs", 3)]},
+            {"data": "abc"},
+            {"train_minority": 0},
+            {"n_folds": 1},
+            {"tsne_cap": -5},
+            {"data": {"n_total": -5}},
+            {"data": {"population_ir": 0}},
+            {"data": {"population_ir": 5}},
+            {"seeds": 5},
+            {"seeds": [0.5]},
+            {"train_irs": ["x"]},
+            {"methods": "smote"},
         ],
     )
     def test_invalid_fields_rejected(self, bad):
+        # from_dict ends in the constructor, so this covers both ways in
         with pytest.raises(SchemaError):
-            ExperimentConfig(out_dir="x", **bad)
+            ExperimentConfig.from_dict({"out_dir": "x", **bad})
 
     def test_grid_values_of_every_parameter_type_accepted(self):
         grids = {
@@ -586,6 +598,36 @@ class TestCli:
         rc = main(["experiment", "--config", str(cfg_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", ['{"bogus": 1}', '{"max_depth": "a"}', "[1]", "nojson"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_bad_model_params_exit_two(self, tmp_path, capsys, command, params):
+        raw = tmp_path / "raw.csv"
+        save_csv(generate_flows(200, 0.25, seed=1), raw)
+        inputs = ["--data", str(raw)] if command == "train" else ["--train", str(raw), "--test", str(raw)]
+        rc = main([command, *inputs, "--model", "tree", "--params", params])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment", "--data", "MISSING", "--method", "smote", "--out", "OUT"],
+            ["train", "--data", "MISSING", "--model", "tree"],
+            ["evaluate", "--train", "MISSING", "--test", "RAW", "--model", "tree"],
+            ["evaluate", "--train", "RAW", "--test", "MISSING", "--model", "tree"],
+            ["diagnostics", "--data", "MISSING", "--method", "smote", "--out", "OUT"],
+            ["experiment", "--config", "MISSING"],
+        ],
+    )
+    def test_missing_input_file_exits_two(self, tmp_path, capsys, argv):
+        raw = tmp_path / "raw.csv"
+        save_csv(generate_flows(200, 0.25, seed=1), raw)
+        paths = {"MISSING": tmp_path / "absent.csv", "RAW": raw, "OUT": tmp_path / "out"}
+        rc = main([str(paths.get(a, a)) for a in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.csv" in err
 
     def test_diagnostics_command(self, tmp_path):
         data = generate_flows(500, 0.3, seed=2)

@@ -120,8 +120,8 @@ class TestModeNormalizer:
     def test_single_gaussian_alpha_is_quarter_zscore(self):
         rng = np.random.default_rng(9)
         x = rng.normal(10.0, 3.0, size=(600, 1))
-        norm = ModeNormalizer().fit(x, ("c",))
-        span = norm.layout.spans[0]
+        norm = ModeNormalizer.fit(x)
+        span = norm.spans[0]
         assert span.mixture.n_modes == 1
         enc = norm.encode(x)
         mu, sigma = span.mixture.means[0], span.mixture.stds[0]
@@ -131,7 +131,7 @@ class TestModeNormalizer:
 
     def test_constant_column_round_trips(self):
         x = np.full((50, 1), 7.25)
-        norm = ModeNormalizer().fit(x, ("c",))
+        norm = ModeNormalizer.fit(x)
         enc = norm.encode(x)
         assert np.allclose(enc[:, 0], 0.0)
         back = norm.decode(enc)
@@ -143,13 +143,13 @@ class TestModeNormalizer:
             bimodal_sample(1000, seed=11),
             rng.normal(-3.0, 0.5, 1000),
         ])
-        norm = ModeNormalizer().fit(x, ("a", "b"))
+        norm = ModeNormalizer.fit(x)
         back = norm.decode(norm.encode(x))
         assert np.max(np.abs(back - x)) < 1e-5
 
     def test_round_trip_with_posterior_sampling(self):
         x = np.column_stack([bimodal_sample(500, seed=12)])
-        norm = ModeNormalizer().fit(x, ("a",))
+        norm = ModeNormalizer.fit(x)
         rng = np.random.default_rng(13)
         back = norm.decode(norm.encode(x, rng))
         assert np.max(np.abs(back - x)) < 1e-5
@@ -161,8 +161,8 @@ class TestModeNormalizer:
             np.random.default_rng(1).normal(0, 2.0, 500),
             np.random.default_rng(2).normal(10, 2.0, 500),
         ])[:, None]
-        norm = ModeNormalizer().fit(x, ("a",))
-        span = norm.layout.spans[0]
+        norm = ModeNormalizer.fit(x)
+        span = norm.spans[0]
         if span.mixture.n_modes < 2:
             pytest.skip("EM merged the modes on this draw")
         mid = np.full((400, 1), 5.0)
@@ -173,17 +173,17 @@ class TestModeNormalizer:
 
     def test_decode_validates_onehot(self):
         x = np.random.default_rng(15).normal(size=(100, 1))
-        norm = ModeNormalizer().fit(x, ("a",))
+        norm = ModeNormalizer.fit(x)
         enc = norm.encode(x)
-        enc[0, norm.layout.spans[0].beta[0]] = 0.4
+        enc[0, norm.spans[0].beta[0]] = 0.4
         with pytest.raises(EncodingError):
             norm.decode(enc)
 
     def test_harden_clamps_and_argmaxes(self):
         x = bimodal_sample(300, seed=16)[:, None]
-        norm = ModeNormalizer().fit(x, ("a",))
-        span = norm.layout.spans[0]
-        soft = np.zeros((2, norm.layout.width))
+        norm = ModeNormalizer.fit(x)
+        span = norm.spans[0]
+        soft = np.zeros((2, norm.width))
         soft[:, span.beta[0]:span.beta[1]] = [[0.7, 0.3], [0.2, 0.8]] \
             if span.mixture.n_modes == 2 else 1.0
         soft[0, span.alpha] = 5.0   # out of range, must clamp to 1
@@ -194,44 +194,56 @@ class TestModeNormalizer:
         assert out[0, 0] == pytest.approx(mix.means[hi_mode] + 4.0 * mix.stds[hi_mode])
 
     def test_misuse_raises(self):
-        norm = ModeNormalizer()
         with pytest.raises(ParameterError):
-            norm.encode(np.ones((2, 1)))
+            ModeNormalizer.fit(np.ones((3, 1)), max_modes=0)
         with pytest.raises(ParameterError):
-            ModeNormalizer(max_modes=0)
+            ModeNormalizer.fit(np.ones(3))
         with pytest.raises(ParameterError):
-            ModeNormalizer().fit(np.ones((3, 2)), ("a",))
+            ModeNormalizer.fit(np.ones((1, 2)))
 
     def test_decode_checks_width(self):
         x = np.random.default_rng(17).normal(size=(50, 1))
-        norm = ModeNormalizer().fit(x, ("a",))
+        norm = ModeNormalizer.fit(x)
         with pytest.raises(EncodingError):
-            norm.decode(np.ones((2, norm.layout.width + 1)))
+            norm.decode(np.ones((2, norm.width + 1)))
 
 
 class TestMinMaxNormalizer:
     def test_round_trip(self):
         rng = np.random.default_rng(18)
         x = rng.normal(5.0, 20.0, size=(200, 3))
-        norm = MinMaxNormalizer().fit(x)
-        scaled = norm.transform(x)
+        norm = MinMaxNormalizer.fit(x)
+        scaled = norm.encode(x)
         assert scaled.min() >= -1.0 and scaled.max() <= 1.0
-        assert np.allclose(norm.inverse(scaled), x, atol=1e-12)
+        assert np.allclose(norm.decode(scaled), x, atol=1e-12)
 
     def test_constant_column(self):
         x = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-        norm = MinMaxNormalizer().fit(x)
-        scaled = norm.transform(x)
+        norm = MinMaxNormalizer.fit(x)
+        scaled = norm.encode(x)
         assert np.all(scaled[:, 0] == 0.0)
-        assert np.allclose(norm.inverse(scaled)[:, 0], 3.0)
+        assert np.allclose(norm.decode(scaled)[:, 0], 3.0)
 
     def test_endpoints_map_to_unit_interval_edges(self):
         x = np.array([[0.0], [50.0], [100.0]])
-        norm = MinMaxNormalizer().fit(x)
-        assert np.allclose(norm.transform(x)[:, 0], [-1.0, 0.0, 1.0])
+        norm = MinMaxNormalizer.fit(x)
+        assert np.allclose(norm.encode(x)[:, 0], [-1.0, 0.0, 1.0])
 
-    def test_unfit_raises(self):
+    def test_fit_rejects_non_matrix(self):
         with pytest.raises(ParameterError):
-            MinMaxNormalizer().transform(np.ones((2, 2)))
+            MinMaxNormalizer.fit(np.ones(3))
         with pytest.raises(ParameterError):
-            MinMaxNormalizer().fit(np.ones(3))
+            MinMaxNormalizer.fit(np.ones((1, 2)))
+
+    def test_harden_clips_and_keeps_in_range_bits(self):
+        x = np.random.default_rng(19).normal(size=(100, 2))
+        norm = MinMaxNormalizer.fit(x)
+        scaled = np.tanh(np.random.default_rng(20).normal(0.0, 3.0, size=(500, 2)))
+        assert np.array_equal(norm.decode(scaled, harden=True), norm.decode(scaled))
+        out = norm.decode(np.array([[5.0, -5.0]]), harden=True)
+        assert np.allclose(out[0], [x[:, 0].max(), x[:, 1].min()], rtol=0, atol=1e-12)
+
+    def test_layout_is_all_tanh(self):
+        norm = MinMaxNormalizer.fit(np.arange(12.0).reshape(4, 3))
+        assert norm.tanh_cols == (0, 1, 2)
+        assert norm.softmax_blocks == ()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowbalance.dataset import generate_flows
-from flowbalance.errors import ParameterError, ShapeError, StratificationError
+from flowbalance.errors import ParameterError, SchemaError, ShapeError, StratificationError
 from flowbalance.evaluate import cross_val_f1, f1_score
 from flowbalance.trees import (
     BoostConfig,
@@ -353,6 +353,21 @@ class TestFitModel:
     def test_unknown_kind_raises(self):
         with pytest.raises(ParameterError):
             fit_model("svm", SEP_X, SEP_Y, {})
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("tree", {"bogus": 1}),
+            ("tree", {"max_depth": "a"}),
+            ("tree", {"max_depth": 2.5}),
+            ("forest", {"bootstrap": 1}),
+            ("boost", {"n_rounds": True}),
+            ("tree", [1]),
+        ],
+    )
+    def test_bad_params_raise_schema_error(self, kind, params):
+        with pytest.raises(SchemaError):
+            fit_model(kind, SEP_X, SEP_Y, params)
 
 
 class TestHyperGrid:
