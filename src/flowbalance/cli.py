@@ -41,7 +41,7 @@ from .harness import (
     write_distribution_diagnostics,
 )
 from .oversample import ORIGIN_SYNTHETIC, OversampleConfig
-from .trees import MODEL_KINDS, fit_model
+from .trees import MODEL_KINDS, check_params, fit_model
 
 
 def _load_labeled_csv(args) -> Dataset:
@@ -56,10 +56,13 @@ def _add_label_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _model_params(args) -> dict:
+    """``--params``, checked against ``--model`` before any data is read."""
     try:
-        return json.loads(args.params) if args.params else {}
+        params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise SchemaError(f"--params is not valid JSON: {exc}") from exc
+    check_params(args.model, params)
+    return params
 
 
 def _balanced(args, data: Dataset):
@@ -103,8 +106,8 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    data = _load_labeled_csv(args)
     params = _model_params(args)
+    data = _load_labeled_csv(args)
     model = fit_model(args.model, data.features, data.labels, params, args.seed)
     train_f1 = f1_score(data.labels, model.predict(data.features))
     summary = model.summary()
@@ -118,9 +121,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    params = _model_params(args)
     train = load_csv(args.train, args.label_column, args.slow_threshold)
     test = load_csv(args.test, args.label_column, args.slow_threshold)
-    params = _model_params(args)
     model = fit_model(args.model, train.features, train.labels, params, args.seed)
     f1 = f1_score(test.labels, model.predict(test.features))
     print(f"test F1 = {f1:.3f}")

@@ -219,11 +219,31 @@ class EmbeddingResult:
     kl_trace: tuple[float, ...]  # true KL (no exaggeration) per iteration
 
 
-def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """``max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)`` with a zero diagonal.
+
+    ``out`` and ``scratch`` are optional ``(n, n)`` buffers to reuse;
+    the result lands in ``out``.
+    """
+    n = x.shape[0]
+    out = np.empty((n, n)) if out is None else out
+    scratch = np.empty((n, n)) if scratch is None else scratch
     s = np.sum(x * x, axis=1)
-    d2 = s[:, None] + s[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    np.add(s[:, None], s[None, :], out=scratch)
+    np.matmul(x, x.T, out=out)
+    out *= -2.0
+    out += scratch  # a + (-b) is a - b, bit for bit
+    np.fill_diagonal(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a C-contiguous (n, n) array, as an
+    (n - 1, n) view whose rows run through them in row-major order."""
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 def _conditional_p(d2_row: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -314,21 +334,53 @@ def tsne(
                 raise
             x = x + rng.normal(0.0, scale * 1e-8 * 10.0**attempt, size=x.shape)
 
-    p = (cond + cond.T) / (2.0 * n)
-    p = np.maximum(p, 1e-12)
+    p = cond + cond.T
+    del cond
+    p /= 2.0 * n
+    np.maximum(p, 1e-12, out=p)
+    p_off = _off_diagonal(p).copy()
+    # the fixed working set: every (n, n) step below writes into these
+    inv = np.empty((n, n))
+    q = np.empty((n, n))
+    scratch = np.empty((n, n))
+    q_off = np.empty_like(p_off)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     kl_trace = []
     for it in range(n_iter):
-        d2 = _pairwise_sq_dists(y)
-        inv = 1.0 / (1.0 + d2)
+        _pairwise_sq_dists(y, out=inv, scratch=scratch)
+        inv += 1.0
+        np.divide(1.0, inv, out=inv)
         np.fill_diagonal(inv, 0.0)
-        q = np.maximum(inv / inv.sum(), 1e-12)
+        np.divide(inv, inv.sum(), out=q)
+        np.maximum(q, 1e-12, out=q)
 
-        p_used = p * early_exaggeration if it < exaggeration_iters else p
-        pq = (p_used - q) * inv
-        grad = 4.0 * (np.diag(pq.sum(axis=1)) - pq) @ y
+        # KL against the unexaggerated P, before q becomes the gradient
+        np.copyto(q_off, _off_diagonal(q))
+        np.divide(p_off, q_off, out=q_off)
+        np.log(q_off, out=q_off)
+        q_off *= p_off
+        kl = float(np.sum(q_off))
+        if not np.isfinite(kl):
+            raise EmbeddingError(f"KL divergence became non-finite at iteration {it}")
+        kl_trace.append(kl)
+
+        # pq = (P_used - Q) * inv, in q's buffer
+        if it < exaggeration_iters:
+            np.multiply(p, early_exaggeration, out=scratch)
+            np.subtract(scratch, q, out=q)
+        else:
+            np.subtract(p, q, out=q)
+        pq = q
+        pq *= inv
+        # 4 (diag(rows) - pq): 0.0 - pq off the diagonal, rows - pq_ii on it
+        rows = pq.sum(axis=1)
+        rows -= pq.diagonal()
+        np.subtract(0.0, pq, out=pq)
+        np.fill_diagonal(pq, rows)
+        pq *= 4.0
+        grad = pq @ y
 
         momentum = 0.5 if it < exaggeration_iters else 0.8
         same_sign = np.sign(grad) == np.sign(velocity)
@@ -337,10 +389,4 @@ def tsne(
         velocity = momentum * velocity - learning_rate * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
-
-        mask = ~np.eye(n, dtype=bool)
-        kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-        if not np.isfinite(kl):
-            raise EmbeddingError(f"KL divergence became non-finite at iteration {it}")
-        kl_trace.append(kl)
     return EmbeddingResult(y, tuple(kl_trace))

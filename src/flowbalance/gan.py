@@ -53,6 +53,14 @@ class GanConfig:
             raise ParameterError("d_steps must be at least 1")
         if not self.hidden:
             raise ParameterError("need at least one hidden layer")
+        # the bounds SgdMomentum and ModeNormalizer.fit put on these, checked
+        # here so a bad value fails when the config is built, not mid-run
+        if not self.lr > 0:
+            raise ParameterError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.max_modes < 1:
+            raise ParameterError(f"max_modes must be at least 1, got {self.max_modes}")
 
 
 @dataclass(frozen=True)
@@ -86,14 +94,18 @@ class GeneratorModel:
     trace: LossTrace
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """Draw n synthetic rows on the original feature scale."""
+        """Draw n synthetic rows on the original feature scale.
+
+        Runs the inference passes, so the nets keep no activations of the
+        n rows and their training state is left as it was.
+        """
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(n, self.g_net.layer_sizes[0]))
-        return self.normalizer.decode(self.head.forward(self.g_net.forward(z)), harden=True)
+        return self.normalizer.decode(self.head.predict(self.g_net.predict(z)), harden=True)
 
     def discriminator_prob(self, features: np.ndarray) -> np.ndarray:
         """P(real) the discriminator assigns to rows on the original scale."""
-        return sigmoid(self.d_net.forward(self.normalizer.encode(features))[:, 0])
+        return sigmoid(self.d_net.predict(self.normalizer.encode(features))[:, 0])
 
 
 def _adversarial_loop(
@@ -159,8 +171,8 @@ def _adversarial_loop(
             g_opt.step(g_net.backward(head.backward(d_fake)))
             g_sum += g_loss
 
-        probe_fake = head.forward(g_net.forward(probe_z))
-        scores = d_net.forward(np.vstack([probe_real, probe_fake]))[:, 0]
+        probe_fake = head.predict(g_net.predict(probe_z))
+        scores = d_net.predict(np.vstack([probe_real, probe_fake]))[:, 0]
         value = float(
             np.mean(-softplus(-scores[:probe_n])) + np.mean(-softplus(scores[probe_n:]))
         )

@@ -137,7 +137,10 @@ def _knn_block(
             rows = np.flatnonzero(own[start:stop])
             cols = col[start:stop][rows]
             approx[rows, cols] = np.inf
-        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        if k == 1:  # the row minimum; fmin, like partition, ranks NaN last
+            kth = np.fmin.reduce(approx, axis=1)
+        else:
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         # "not above" keeps NaN entries: when magnitudes overflow, the
         # slack is inf and every row goes to the naive re-rank
         far = np.greater(approx, (kth + slack[start:stop])[:, None])

@@ -24,7 +24,8 @@ def leaky_relu(z: np.ndarray) -> np.ndarray:
 
 
 def leaky_relu_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, LEAK)
+    # bitwise equal to np.where(z > 0, 1.0, LEAK), since 0.8 + 0.2 rounds to 1.0
+    return (z > 0) * (1.0 - LEAK) + LEAK
 
 
 def sigmoid(s: np.ndarray) -> np.ndarray:
@@ -57,6 +58,7 @@ class FeedforwardNet:
     seeded He-style Gaussian, biases at zero. ``forward`` caches the
     activations it needs; ``backward`` consumes that cache and raises
     :class:`StaleCacheError` if the parameters changed in between.
+    ``predict`` is the same arithmetic without the cache, for inference.
     """
 
     def __init__(self, layer_sizes: tuple[int, ...], seed: int):
@@ -87,12 +89,16 @@ class FeedforwardNet:
         """Record that parameters changed; outstanding caches become stale."""
         self._version += 1
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ShapeError(
                 f"expected input of shape (n, {self.layer_sizes[0]}), got {x.shape}"
             )
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        x = self._check_input(x)
         activations = [x]
         pre_acts = []
         h = x
@@ -103,6 +109,22 @@ class FeedforwardNet:
             h = leaky_relu(z) if i < last else z
             activations.append(h)
         self._cache = (self._version, activations, pre_acts)
+        return h
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """``forward``'s output, bit for bit, keeping no activations.
+
+        Each layer's product is the one buffer its bias and leak are
+        applied to, so the working set is two layers wide and the
+        backprop cache is left as it was.
+        """
+        h = self._check_input(x)
+        last = self.n_layers - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w
+            h += b
+            if i < last:
+                np.maximum(h, LEAK * h, out=h)
         return h
 
     def backward(self, dout: np.ndarray) -> NetGrads:
@@ -160,7 +182,8 @@ class MixedActivation:
     This sits on top of a net's linear output so a generator can emit
     bounded continuous values alongside one-hot-ish categorical blocks.
     ``backward`` converts a gradient in output space to a gradient on the
-    pre-activation the net produced.
+    pre-activation the net produced. ``predict`` is ``forward`` without
+    keeping the output that ``backward`` needs.
     """
 
     def __init__(
@@ -185,6 +208,10 @@ class MixedActivation:
         self._out: np.ndarray | None = None
 
     def forward(self, s: np.ndarray) -> np.ndarray:
+        self._out = self.predict(s)
+        return self._out
+
+    def predict(self, s: np.ndarray) -> np.ndarray:
         out = np.array(s, dtype=np.float64, copy=True)
         if self.tanh_cols:
             cols = list(self.tanh_cols)
@@ -194,7 +221,6 @@ class MixedActivation:
             shifted = block - block.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             out[:, start:stop] = e / e.sum(axis=1, keepdims=True)
-        self._out = out
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

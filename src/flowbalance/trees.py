@@ -27,11 +27,24 @@ from .nets import sigmoid
 _EPS = 1e-12
 
 
+def _check_growth(config) -> None:
+    """The range rules every tree-growing config shares."""
+    if config.max_depth < 0:
+        raise ParameterError(f"max_depth must be >= 0, got {config.max_depth}")
+    if config.min_samples_leaf < 1:
+        raise ParameterError(f"min_samples_leaf must be >= 1, got {config.min_samples_leaf}")
+    if config.min_samples_split < 2:
+        raise ParameterError(f"min_samples_split must be >= 2, got {config.min_samples_split}")
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int = 10
     min_samples_leaf: int = 1
     min_samples_split: int = 2
+
+    def __post_init__(self):
+        _check_growth(self)
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,13 @@ class ForestConfig:
     n_features: int | None = None
     bootstrap: bool = True
 
+    def __post_init__(self):
+        _check_growth(self)
+        if self.n_trees < 1:
+            raise ParameterError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.n_features is not None and self.n_features < 1:
+            raise ParameterError(f"n_features must be >= 1, got {self.n_features}")
+
 
 @dataclass(frozen=True)
 class BoostConfig:
@@ -53,6 +73,13 @@ class BoostConfig:
     max_depth: int = 3
     min_samples_leaf: int = 1
     min_samples_split: int = 2
+
+    def __post_init__(self):
+        _check_growth(self)
+        if self.n_rounds < 0:
+            raise ParameterError(f"n_rounds must be >= 0, got {self.n_rounds}")
+        if not self.learning_rate > 0:
+            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -280,12 +307,10 @@ def fit_forest(
     seed: int = 0,
 ) -> RandomForest:
     features, labels = _check_xy(features, labels)
-    if config.n_trees < 1:
-        raise ParameterError("need at least one tree")
     n, d = features.shape
     n_pick = config.n_features if config.n_features is not None else int(np.ceil(np.sqrt(d)))
-    if not 1 <= n_pick <= d:
-        raise ParameterError(f"n_features must be in [1, {d}], got {n_pick}")
+    if n_pick > d:
+        raise ParameterError(f"n_features must be at most {d}, got {n_pick}")
     ones = (labels == 1).astype(np.float64)
     columns = np.ascontiguousarray(features.T)
     trees = []
@@ -350,8 +375,6 @@ def fit_boost(
     p_bar = y.mean()
     if p_bar <= 0.0 or p_bar >= 1.0:
         raise ParameterError("boosting needs both classes in the training set")
-    if config.n_rounds < 0 or config.learning_rate <= 0:
-        raise ParameterError("n_rounds must be >= 0 and learning_rate positive")
     score = np.full(y.size, np.log(p_bar / (1.0 - p_bar)))
     init = float(score[0])
     columns = np.ascontiguousarray(features.T)
@@ -374,9 +397,12 @@ MODEL_KINDS = tuple(MODEL_CONFIGS)
 _PARAM_TYPES = {bool: (bool,), int: (int,), float: (int, float), type(None): (int, type(None))}
 
 
-def check_params(kind: str, params) -> None:
-    """Raise SchemaError unless ``params`` maps parameters of the ``kind``
-    config to values of their types."""
+def check_params(kind: str, params):
+    """The ``kind`` config with ``params`` applied.
+
+    Raises SchemaError unless ``params`` maps parameters of the config to
+    values of their types, and ParameterError for a value out of range.
+    """
     if not isinstance(params, dict):
         raise SchemaError(f"{kind} parameters must map parameter names to values")
     defaults = {f.name: f.default for f in fields(MODEL_CONFIGS[kind])}
@@ -387,14 +413,14 @@ def check_params(kind: str, params) -> None:
         # bool is an int subclass, so it fits only bool parameters
         if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
             raise SchemaError(f"{kind} value {value!r} does not fit {name!r}")
+    return MODEL_CONFIGS[kind](**params)
 
 
 def fit_model(kind: str, features: np.ndarray, labels: np.ndarray, params: dict, seed: int = 0):
     """Fit a classifier by name with keyword overrides of its defaults."""
     if kind not in MODEL_CONFIGS:
         raise ParameterError(f"unknown model kind {kind!r}")
-    check_params(kind, params)
-    config = MODEL_CONFIGS[kind](**params)
+    config = check_params(kind, params)
     if kind == "tree":
         return fit_tree(features, labels, config)
     if kind == "forest":

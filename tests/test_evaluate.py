@@ -331,7 +331,76 @@ def linear_split_accuracy(coords, labels):
     return float(np.mean(pred == labels))
 
 
+def frozen_tsne(x, perplexity, n_iter, seed, exaggeration_iters):
+    """t-SNE as written before its loop moved to a fixed working set, kept
+    as the bitwise oracle. Returns (coords, kl_trace, attempts)."""
+
+    def sq_dists(a):
+        s = np.sum(a * a, axis=1)
+        d2 = s[:, None] + s[None, :] - 2.0 * (a @ a.T)
+        np.fill_diagonal(d2, 0.0)
+        return np.maximum(d2, 0.0)
+
+    learning_rate, early_exaggeration = 200.0, 12.0
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    scale = float(np.std(x)) or 1.0
+    for attempt in range(4):
+        try:
+            cond = _row_affinities(sq_dists(x), perplexity, 1e-5)
+            break
+        except EmbeddingError:
+            x = x + rng.normal(0.0, scale * 1e-8 * 10.0**attempt, size=x.shape)
+    p = (cond + cond.T) / (2.0 * n)
+    p = np.maximum(p, 1e-12)
+    y = rng.normal(0.0, 1e-4, size=(n, 2))
+    velocity = np.zeros_like(y)
+    gains = np.ones_like(y)
+    kl_trace = []
+    for it in range(n_iter):
+        d2 = sq_dists(y)
+        inv = 1.0 / (1.0 + d2)
+        np.fill_diagonal(inv, 0.0)
+        q = np.maximum(inv / inv.sum(), 1e-12)
+        p_used = p * early_exaggeration if it < exaggeration_iters else p
+        pq = (p_used - q) * inv
+        grad = 4.0 * (np.diag(pq.sum(axis=1)) - pq) @ y
+        momentum = 0.5 if it < exaggeration_iters else 0.8
+        same_sign = np.sign(grad) == np.sign(velocity)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        gains = np.maximum(gains, 0.01)
+        velocity = momentum * velocity - learning_rate * gains * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+        mask = ~np.eye(n, dtype=bool)
+        kl_trace.append(float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+    return y, tuple(kl_trace), attempt + 1
+
+
 class TestTsne:
+    def test_matches_frozen_loop_bitwise(self):
+        rng = np.random.default_rng(21)
+        base = rng.normal(size=(31, 3))
+        # 40 rows; three points appear four times, more than the perplexity
+        # allows, so the entropy search fails until the jitter retry
+        feats = np.vstack([base, np.repeat(base[:3], 3, axis=0)])
+        want, want_kl, attempts = frozen_tsne(feats, 2.5, 40, 4, exaggeration_iters=25)
+        assert attempts > 1
+        got = tsne(feats, perplexity=2.5, n_iter=40, seed=4, exaggeration_iters=25)
+        assert np.array_equal(got.coords.view(np.int64), want.view(np.int64))
+        assert got.kl_trace == want_kl
+
+    def test_in_place_distances_match_the_expanded_form(self, rng):
+        x = rng.normal(size=(33, 4))
+        s = np.sum(x * x, axis=1)
+        want = np.maximum(s[:, None] + s[None, :] - 2.0 * (x @ x.T), 0.0)
+        np.fill_diagonal(want, 0.0)
+        out, scratch = np.full((33, 33), np.nan), np.full((33, 33), np.nan)
+        got = _pairwise_sq_dists(x, out=out, scratch=scratch)
+        assert got is out
+        assert np.array_equal(got, want)
+        assert np.array_equal(_pairwise_sq_dists(x), want)
+
     def test_conditional_rows_sum_to_one(self, rng):
         x = rng.normal(size=(40, 5))
         cond = _row_affinities(_pairwise_sq_dists(x), perplexity=10.0, tol=1e-5)

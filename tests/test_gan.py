@@ -98,6 +98,38 @@ class TestTrainGan:
         with pytest.raises(ParameterError):
             GanConfig(d_steps=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_lr(self, lr):
+        with pytest.raises(ParameterError):
+            GanConfig(lr=lr)
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 5.0])
+    def test_rejects_momentum_outside_unit_interval(self, momentum):
+        with pytest.raises(ParameterError):
+            GanConfig(momentum=momentum)
+        assert GanConfig(momentum=0.0).momentum == 0.0
+
+    @pytest.mark.parametrize("max_modes", [0, -3])
+    def test_rejects_max_modes_below_one(self, max_modes):
+        with pytest.raises(ParameterError):
+            GanConfig(max_modes=max_modes)
+
+
+@pytest.mark.parametrize("train", [train_gan, train_ctgan])
+def test_sample_leaves_training_state_and_matches_forward(train):
+    model = train(blob_features(), tiny_config(epochs=3))
+    caches = (model.g_net._cache, model.d_net._cache, model.head._out)
+    versions = (model.g_net.version, model.d_net.version)
+    out = model.sample(300, seed=7)
+    model.discriminator_prob(out)
+    after = (model.g_net._cache, model.d_net._cache, model.head._out)
+    assert all(a is b for a, b in zip(caches, after))
+    assert (model.g_net.version, model.d_net.version) == versions
+    # the same rows the training passes would give
+    z = np.random.default_rng(7).normal(size=(300, model.g_net.layer_sizes[0]))
+    want = model.normalizer.decode(model.head.forward(model.g_net.forward(z)), harden=True)
+    assert np.array_equal(out, want)
+
 
 @pytest.mark.parametrize("train", [train_gan, train_ctgan])
 def test_discriminator_prob_range(train):

@@ -118,6 +118,25 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"out_dir": "x", "data": {"profile": {"bogus": 1}}})
         assert not any(tmp_path.iterdir())  # rejected before the run makes out_dir
 
+    @pytest.mark.parametrize("gan", [{"lr": -1.0}, {"momentum": 5.0}, {"max_modes": 0}])
+    def test_out_of_range_gan_values_fail_before_the_run(self, tmp_path, gan):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(out_dir=str(tmp_path / "out"), gan=gan)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"tree": {"max_depth": [3, -1]}},
+            {"forest": {"min_samples_leaf": [0]}},
+            {"boost": {"learning_rate": [0.1, 0.0]}},
+        ],
+    )
+    def test_out_of_range_grid_values_fail_before_the_run(self, tmp_path, grids):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(out_dir=str(tmp_path / "out"), grids=grids)
+        assert not any(tmp_path.iterdir())
+
     def test_sections_build_with_tuples_and_keep_the_hash(self):
         # hashes computed when each section was still built at run time
         assert ExperimentConfig(out_dir="x").config_hash() == "3e5456d9a9d0d91f"
@@ -599,7 +618,10 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("params", ['{"bogus": 1}', '{"max_depth": "a"}', "[1]", "nojson"])
+    @pytest.mark.parametrize(
+        "params",
+        ['{"bogus": 1}', '{"max_depth": "a"}', "[1]", "nojson", '{"min_samples_leaf": 0}'],
+    )
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_bad_model_params_exit_two(self, tmp_path, capsys, command, params):
         raw = tmp_path / "raw.csv"

@@ -248,3 +248,29 @@ class TestNearTiesAtLargeNorm:
             want = brute_force_knn(view.scaled, i, np.arange(n), k)
             assert np.array_equal(table[i], want), f"row {i}"
 
+
+class TestRowMinimumForOneNeighbor:
+    """k=1 takes the k-th expanded distance as a row minimum, not a partition."""
+
+    @pytest.mark.parametrize("scope", ["all", "minority"])
+    def test_one_neighbor_is_the_first_of_two(self, scope):
+        rng = np.random.default_rng(8)
+        feats = np.round(rng.normal(size=(700, 3)), 1)  # ties at the first place
+        labels = (rng.random(700) < 0.6).astype(np.int64)
+        view = standardize(plain_dataset(feats, labels))
+        queries = view.scope_indices(scope)
+        one = knn_table(view, queries, 1, scope=scope)
+        two = knn_table(view, queries, 2, scope=scope)
+        assert np.array_equal(one[:, 0], two[:, 0])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_overflowing_expanded_form_matches_brute_force(self, k):
+        # |q|^2 overflows to inf near 1e160, so every expanded distance is
+        # NaN; the rows are close enough that the naive distances stay finite
+        rng = np.random.default_rng(5)
+        feats = 1e160 + 1e148 * rng.integers(0, 30, size=(60, 2))
+        view = standardize(plain_dataset(feats), raw=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = knn_table(view, np.arange(60), k, scope="all")
+        for i in range(60):
+            assert np.array_equal(table[i], brute_force_knn(view.scaled, i, np.arange(60), k))

@@ -11,6 +11,7 @@ from flowbalance.nets import (
     SgdMomentum,
     gradient_check,
     leaky_relu,
+    leaky_relu_grad,
 )
 
 
@@ -90,6 +91,52 @@ class TestForward:
         got = leaky_relu(z)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_leaky_relu_grad_matches_where_form_bitwise(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        normal = np.finfo(np.float64).tiny
+        big = np.finfo(np.float64).max
+        z = np.array([
+            0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, normal, -normal,
+            np.inf, -np.inf, np.nan, 1.5, -1.5, big, -big,
+        ])
+        z = np.concatenate([z, np.random.default_rng(0).normal(size=1000)])
+        want = np.where(z > 0, 1.0, LEAK)
+        got = leaky_relu_grad(z)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(
+        hidden=st.lists(st.integers(min_value=1, max_value=12), min_size=0, max_size=3),
+        n_in=st.integers(min_value=1, max_value=6),
+        n_out=st.integers(min_value=1, max_value=5),
+        rows=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_predict_equals_forward_bitwise(self, hidden, n_in, n_out, rows, seed):
+        net = FeedforwardNet((n_in, *hidden, n_out), seed=seed)
+        for b in net.biases:
+            b[:] = np.random.default_rng(seed + 1).normal(size=b.shape)
+        x = np.random.default_rng(seed + 2).normal(size=(rows, n_in))
+        x[0, 0] = -0.0
+        got = net.predict(x)
+        want = net.forward(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_predict_keeps_no_cache_and_leaves_input(self):
+        net = FeedforwardNet((3, 5, 2), seed=4)
+        x = np.random.default_rng(5).normal(size=(6, 3))
+        before = x.copy()
+        net.predict(x)
+        assert net._cache is None
+        assert np.array_equal(x, before)
+        net.forward(x)
+        cache = net._cache
+        net.predict(2.0 * x)
+        assert net._cache is cache
+        with pytest.raises(ShapeError):
+            net.predict(np.ones((4, 5)))
 
 
 class TestBackward:
@@ -245,6 +292,17 @@ class TestMixedActivation:
             MixedActivation(tanh_cols=(2,), softmax_blocks=((1, 3),))
         with pytest.raises(ParameterError):
             MixedActivation(softmax_blocks=((3, 3),))
+
+    def test_predict_equals_forward_bitwise_and_keeps_no_output(self):
+        head = MixedActivation(tanh_cols=(0, 5), softmax_blocks=((1, 3), (3, 5)))
+        s = 4.0 * np.random.default_rng(3).normal(size=(50, 7))
+        got = head.predict(s)
+        assert head._out is None
+        want = head.forward(s)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        kept = head._out
+        head.predict(s + 1.0)
+        assert head._out is kept
 
     def test_backward_needs_forward(self):
         act = MixedActivation(tanh_cols=(0,))

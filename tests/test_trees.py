@@ -11,6 +11,7 @@ from flowbalance.dataset import generate_flows
 from flowbalance.errors import ParameterError, SchemaError, ShapeError, StratificationError
 from flowbalance.evaluate import cross_val_f1, f1_score
 from flowbalance.trees import (
+    MODEL_CONFIGS,
     BoostConfig,
     DecisionTree,
     ForestConfig,
@@ -19,6 +20,7 @@ from flowbalance.trees import (
     RandomForest,
     TreeConfig,
     _best_split,
+    check_params,
     fit_boost,
     fit_forest,
     fit_model,
@@ -333,10 +335,10 @@ class TestFitBoost:
         with pytest.raises(ParameterError):
             fit_boost(SEP_X, np.zeros(8, dtype=np.int64))
 
-    @pytest.mark.parametrize("cfg", [BoostConfig(n_rounds=-1), BoostConfig(learning_rate=0.0)])
+    @pytest.mark.parametrize("cfg", [{"n_rounds": -1}, {"learning_rate": 0.0}])
     def test_bad_config_raises(self, cfg):
         with pytest.raises(ParameterError):
-            fit_boost(SEP_X, SEP_Y, cfg)
+            fit_boost(SEP_X, SEP_Y, BoostConfig(**cfg))
 
 
 class TestFitModel:
@@ -368,6 +370,34 @@ class TestFitModel:
     def test_bad_params_raise_schema_error(self, kind, params):
         with pytest.raises(SchemaError):
             fit_model(kind, SEP_X, SEP_Y, params)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("tree", {"max_depth": -1}),
+            ("tree", {"min_samples_leaf": 0}),
+            ("tree", {"min_samples_split": 1}),
+            ("forest", {"n_trees": 0}),
+            ("forest", {"n_features": 0}),
+            ("forest", {"max_depth": -2}),
+            ("boost", {"n_rounds": -1}),
+            ("boost", {"learning_rate": 0.0}),
+            ("boost", {"learning_rate": -0.5}),
+            ("boost", {"min_samples_leaf": 0}),
+        ],
+    )
+    def test_out_of_range_params_rejected_when_the_config_is_built(self, kind, params):
+        with pytest.raises(ParameterError):
+            check_params(kind, params)
+        with pytest.raises(ParameterError):
+            MODEL_CONFIGS[kind](**params)
+
+    def test_edge_values_stay_legal(self):
+        assert check_params("tree", {"max_depth": 0, "min_samples_split": 2}) == TreeConfig(
+            max_depth=0, min_samples_split=2
+        )
+        assert check_params("boost", {"n_rounds": 0}).n_rounds == 0
+        assert check_params("forest", {"n_features": 1}).n_features == 1
 
 
 class TestHyperGrid:
