@@ -32,7 +32,8 @@ from .errors import FlowBalanceError, ParameterError, SchemaError
 from .evaluate import f1_score, ks_report, log_histograms, tsne, write_csv
 from .gan import GanConfig, train_ctgan, train_gan
 from .oversample import (
-    ORIGIN_MINORITY, ORIGIN_NAMES, ORIGIN_SYNTHETIC, OversampleConfig, oversample, stack_synthetic,
+    ORIGIN_MINORITY, ORIGIN_NAMES, ORIGIN_SYNTHETIC, OversampleConfig, _is_int, oversample,
+    stack_synthetic,
 )
 from .svg import Series, line_chart, scatter_chart
 from .trees import MODEL_CONFIGS, MODEL_KINDS, HyperGrid, check_params, fit_model, grid_search
@@ -82,10 +83,6 @@ def _section(base, overrides, name: str):
     if unknown:
         raise SchemaError(f"unknown {name} keys: {sorted(unknown)}")
     return dataclasses.replace(base, **{k: _tuples(v) for k, v in overrides.items()})
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

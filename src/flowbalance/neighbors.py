@@ -9,7 +9,8 @@ The engine reaches that answer without a naive scan of every pair: a BLAS
 product of the expanded form |q|^2 - 2 q.s + |s|^2 narrows each query to
 the rows that a rounding bound cannot rule out, and only those are
 re-ranked with the naive formula. Distances are Euclidean in z-scored
-space by default; a raw-space view is available for comparison.
+space by default; ``OversampleConfig.standardized_distances`` switches the
+oversamplers to raw coordinates.
 """
 
 from __future__ import annotations
@@ -39,20 +40,6 @@ class StandardizedView:
         raise ParameterError(f"unknown scope {scope!r}")
 
 
-@dataclass(frozen=True)
-class NeighborQuery:
-    """k nearest Euclidean neighbors within a scope of rows."""
-
-    k: int
-    scope: str = "all"  # "all" | "minority"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError("k must be at least 1")
-        if self.scope not in ("all", "minority"):
-            raise ParameterError(f"unknown scope {self.scope!r}")
-
-
 def zscore(features: np.ndarray) -> np.ndarray:
     """A matrix z-scored with population statistics.
 
@@ -62,17 +49,6 @@ def zscore(features: np.ndarray) -> np.ndarray:
     stds = features.std(axis=0)
     stds = np.where(stds <= STD_FLOOR, 1.0, stds)
     return (features - features.mean(axis=0)) / stds
-
-
-def standardize(dataset: Dataset, raw: bool = False) -> StandardizedView:
-    """Z-score a dataset with population statistics (see :func:`zscore`).
-
-    With ``raw`` the view keeps the original coordinates (identity
-    scaling).
-    """
-    if dataset.n < 2:
-        raise ParameterError("standardize needs at least 2 rows")
-    return StandardizedView(dataset, dataset.features if raw else zscore(dataset.features))
 
 
 # float64 elements of one query chunk's (chunk, scope) distance block
@@ -153,27 +129,6 @@ def _knn_block(
         first = np.searchsorted(qi, np.arange(stop - start))
         out[start:stop] = scope_idx[si[order[first[:, None] + rank]]]
     return out
-
-
-def knn(view: StandardizedView, query_index: int, query: NeighborQuery) -> np.ndarray:
-    """The k nearest neighbors of one row, excluding the row itself.
-
-    Returns global row indices ordered by ascending distance, ties broken
-    by ascending index.
-
-    Raises:
-        ParameterError: query outside the scope, or k >= scope size.
-    """
-    scope_idx = view.scope_indices(query.scope)
-    if query_index not in scope_idx:
-        raise ParameterError(f"query row {query_index} is outside scope {query.scope!r}")
-    if query.k >= scope_idx.size:
-        raise ParameterError(
-            f"k={query.k} must be smaller than the scope size {scope_idx.size}"
-        )
-    q = view.scaled[query_index][None, :]
-    return _knn_block(view.scaled, q, scope_idx, query.k,
-                      exclude=np.array([query_index]))[0]
 
 
 def knn_table(view: StandardizedView, query_indices: np.ndarray, k: int, scope: str) -> np.ndarray:

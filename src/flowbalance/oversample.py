@@ -42,6 +42,15 @@ ORIGIN_NAMES = {
 }
 
 
+# bool is an int subclass, so both rule it out by name
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OversampleConfig:
     """Knobs shared by the augmentation methods.
@@ -65,16 +74,22 @@ class OversampleConfig:
     standardized_distances: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError("k must be at least 1")
+        if not _is_int(self.k) or self.k < 1:
+            raise ParameterError(f"k must be an integer of at least 1, got {self.k!r}")
+        if self.target is not None and not _is_int(self.target):
+            raise ParameterError(f"target must be an integer or None, got {self.target!r}")
+        if not _is_real(self.beta) or not 0 < self.beta < np.inf:
+            raise ParameterError(f"beta must be a finite real above 0, got {self.beta!r}")
+        band = self.danger_band
+        if not (isinstance(band, (tuple, list)) and len(band) == 2 and all(map(_is_real, band))
+                and 0 <= band[0] < band[1] <= 1):
+            raise ParameterError(f"danger_band must be reals with 0 <= lo < hi <= 1, got {band!r}")
+        if not isinstance(self.standardized_distances, bool):
+            raise ParameterError("standardized_distances must be true or false")
         if self.enn_mode not in ("standard", "paper-literal"):
             raise ParameterError(f"unknown enn_mode {self.enn_mode!r}")
         if self.tomek_mode not in ("remove-majority", "remove-both"):
             raise ParameterError(f"unknown tomek_mode {self.tomek_mode!r}")
-        if not (0 <= self.danger_band[0] < self.danger_band[1] <= 1):
-            raise ParameterError("danger_band must satisfy 0 <= lo < hi <= 1")
-        if self.beta <= 0:
-            raise ParameterError("beta must be positive")
 
 
 def stack_synthetic(
@@ -157,36 +172,40 @@ def _distance_space(feats: np.ndarray, cfg: OversampleConfig) -> np.ndarray:
     return zscore(feats) if cfg.standardized_distances else feats
 
 
-def _check_minority(n_min: int, k: int) -> None:
-    if n_min < k + 1:
+def _setup(data: Dataset, cfg: OversampleConfig) -> tuple[ClassPartition, StandardizedView]:
+    """The class partition and the neighbor-search view an oversampler runs on."""
+    part = partition(data)
+    if part.n_minority < cfg.k + 1:
         raise InsufficientMinorityError(
-            f"need at least k+1={k + 1} minority rows, got {n_min}"
+            f"need at least k+1={cfg.k + 1} minority rows, got {part.n_minority}"
         )
+    return part, StandardizedView(data, _distance_space(data.features, cfg))
 
 
 def _interpolate(
-    data: Dataset,
-    parent_rows: np.ndarray,
-    neighbor_lists: np.ndarray,
-    m: int,
+    data: Dataset, view: StandardizedView, parent_rows: np.ndarray, pick: np.ndarray, k: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw m synthetic rows: pick a parent uniformly from ``parent_rows``,
-    one of its listed neighbors uniformly, and a single scalar coefficient
-    in [0, 1) applied to every coordinate."""
-    pick = rng.integers(0, parent_rows.size, size=m)
+) -> AugmentedSet:
+    """One synthetic row per entry of ``pick``: its parent is
+    ``parent_rows[pick]``, its neighbor one of the parent's k nearest
+    minority rows chosen uniformly, and its single coefficient in [0, 1)
+    applies to every coordinate. Every row is kept."""
+    table = knn_table(view, parent_rows, k, scope="minority")
+    m = pick.size
     parents = parent_rows[pick]
-    slot = rng.integers(0, neighbor_lists.shape[1], size=m)
-    neighbors = neighbor_lists[pick, slot]
+    neighbors = table[pick, rng.integers(0, k, size=m)]
     delta = rng.random(m)
     x_parent = data.features[parents]
-    x_neighbor = data.features[neighbors]
-    synthetic = x_parent + (x_neighbor - x_parent) * delta[:, None]
-    return synthetic, parents, neighbors, delta
+    synthetic = x_parent + (data.features[neighbors] - x_parent) * delta[:, None]
+    return AugmentedSet(data, synthetic, parents, neighbors, delta,
+                        np.ones(data.n, dtype=bool), np.ones(m, dtype=bool))
 
 
-def _fresh_masks(data: Dataset, m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.ones(data.n, dtype=bool), np.ones(m, dtype=bool)
+def _majority_counts(data: Dataset, part: ClassPartition, view: StandardizedView,
+                     k: int) -> np.ndarray:
+    """Majority rows among each minority row's k nearest rows of either class."""
+    neigh = knn_table(view, part.minority_idx, k, scope="all")
+    return np.sum(data.labels[neigh] == 0, axis=1)
 
 
 def smote(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
@@ -196,18 +215,11 @@ def smote(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
     chosen minority parent ``x``, one of its k nearest minority neighbors
     ``x_hat``, and a scalar ``delta ~ U[0, 1)`` shared by all coordinates.
     """
-    part = partition(data)
-    _check_minority(part.n_minority, cfg.k)
-    target = _resolve_target(cfg, part.n_minority, part.n_majority)
-    m = target - part.n_minority
+    part, view = _setup(data, cfg)
+    m = _resolve_target(cfg, part.n_minority, part.n_majority) - part.n_minority
     rng = np.random.default_rng(seed)
-    view = StandardizedView(data, _distance_space(data.features, cfg))
-    neighbor_lists = knn_table(view, part.minority_idx, cfg.k, scope="minority")
-    synthetic, parents, neighbors, delta = _interpolate(
-        data, part.minority_idx, neighbor_lists, m, rng
-    )
-    base_kept, synth_kept = _fresh_masks(data, m)
-    return AugmentedSet(data, synthetic, parents, neighbors, delta, base_kept, synth_kept)
+    pick = rng.integers(0, part.n_minority, size=m)
+    return _interpolate(data, view, part.minority_idx, pick, cfg.k, rng)
 
 
 def danger_set(data: Dataset, cfg: OversampleConfig) -> np.ndarray:
@@ -217,22 +229,16 @@ def danger_set(data: Dataset, cfg: OversampleConfig) -> np.ndarray:
     is DANGER when ``lo * k <= m' < hi * k`` (defaults: at least half but
     not all) and NOISE when m' = k. Returns global row indices.
     """
-    part = partition(data)
     view = StandardizedView(data, _distance_space(data.features, cfg))
-    return _danger_rows(data, cfg, part, view)
+    return _danger_rows(data, cfg, partition(data), view)
 
 
 def _danger_rows(
     data: Dataset, cfg: OversampleConfig, part: ClassPartition, view: StandardizedView
 ) -> np.ndarray:
-    if cfg.k >= data.n:
-        raise ParameterError(f"k={cfg.k} must be smaller than the row count {data.n}")
-    neigh = knn_table(view, part.minority_idx, cfg.k, scope="all")
-    maj_counts = np.sum(data.labels[neigh] == 0, axis=1)
-    lo = cfg.danger_band[0] * cfg.k
-    hi = cfg.danger_band[1] * cfg.k
-    in_band = (maj_counts >= lo) & (maj_counts < hi)
-    return part.minority_idx[in_band]
+    maj_counts = _majority_counts(data, part, view, cfg.k)
+    lo, hi = (bound * cfg.k for bound in cfg.danger_band)
+    return part.minority_idx[(maj_counts >= lo) & (maj_counts < hi)]
 
 
 def borderline_smote(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
@@ -245,21 +251,14 @@ def borderline_smote(data: Dataset, cfg: OversampleConfig, seed: int) -> Augment
     Raises:
         NoBorderlineError: if the DANGER set is empty.
     """
-    part = partition(data)
-    _check_minority(part.n_minority, cfg.k)
-    target = _resolve_target(cfg, part.n_minority, part.n_majority)
-    m = target - part.n_minority
-    view = StandardizedView(data, _distance_space(data.features, cfg))
+    part, view = _setup(data, cfg)
+    m = _resolve_target(cfg, part.n_minority, part.n_majority) - part.n_minority
     danger = _danger_rows(data, cfg, part, view)
     if danger.size == 0:
         raise NoBorderlineError("no minority point falls in the danger band")
     rng = np.random.default_rng(seed)
-    neighbor_lists = knn_table(view, danger, cfg.k, scope="minority")
-    synthetic, parents, neighbors, delta = _interpolate(
-        data, danger, neighbor_lists, m, rng
-    )
-    base_kept, synth_kept = _fresh_masks(data, m)
-    return AugmentedSet(data, synthetic, parents, neighbors, delta, base_kept, synth_kept)
+    pick = rng.integers(0, danger.size, size=m)
+    return _interpolate(data, view, danger, pick, cfg.k, rng)
 
 
 def enn_misclassified(
@@ -391,33 +390,18 @@ def adasyn(data: Dataset, cfg: OversampleConfig, seed: int) -> AugmentedSet:
         DegenerateDensityError: if every weight is zero (all minority
         neighborhoods are pure).
     """
-    part = partition(data)
-    _check_minority(part.n_minority, cfg.k)
-    if cfg.k >= data.n:
-        raise ParameterError(f"k={cfg.k} must be smaller than the row count {data.n}")
-    rng = np.random.default_rng(seed)
-    view = StandardizedView(data, _distance_space(data.features, cfg))
-    all_neigh = knn_table(view, part.minority_idx, cfg.k, scope="all")
-    delta_counts = np.sum(data.labels[all_neigh] == 0, axis=1)
-    if delta_counts.sum() == 0:
+    part, view = _setup(data, cfg)
+    maj_counts = _majority_counts(data, part, view, cfg.k)
+    if maj_counts.sum() == 0:
         raise DegenerateDensityError("all minority neighborhoods are pure minority")
-    r = delta_counts / cfg.k
+    r = maj_counts / cfg.k
     r_hat = r / r.sum()
     total = int(round(cfg.beta * (part.n_majority - part.n_minority)))
     if total <= 0:
         raise ParameterError("quota is empty; the classes are already balanced")
     quotas = adaptive_quotas(r_hat, total)
-
-    minority_lists = knn_table(view, part.minority_idx, cfg.k, scope="minority")
-    parent_slots = np.repeat(np.arange(part.n_minority), quotas)
-    parents = part.minority_idx[parent_slots]
-    slot = rng.integers(0, cfg.k, size=total)
-    neighbors = minority_lists[parent_slots, slot]
-    delta = rng.random(total)
-    x_parent = data.features[parents]
-    synthetic = x_parent + (data.features[neighbors] - x_parent) * delta[:, None]
-    base_kept, synth_kept = _fresh_masks(data, total)
-    return AugmentedSet(data, synthetic, parents, neighbors, delta, base_kept, synth_kept)
+    pick = np.repeat(np.arange(part.n_minority), quotas)
+    return _interpolate(data, view, part.minority_idx, pick, cfg.k, np.random.default_rng(seed))
 
 
 METHODS = {

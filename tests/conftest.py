@@ -28,6 +28,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def brute_force_knn(scaled, i, scope_idx, k):
+    """Reference: exhaustive sort by (squared distance, index), row i excluded."""
+    d = [(float(np.sum((scaled[j] - scaled[i]) ** 2)), int(j)) for j in scope_idx if j != i]
+    d.sort()
+    return np.array([j for _, j in d[:k]], dtype=np.int64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

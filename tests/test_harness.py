@@ -124,6 +124,15 @@ class TestExperimentConfig:
             ExperimentConfig(out_dir=str(tmp_path / "out"), gan=gan)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("oversample", [
+        {"k": 2.5}, {"k": True}, {"k": "5"}, {"target": 1000.5}, {"beta": "x"},
+        {"danger_band": [0.5]}, {"standardized_distances": "no"},
+    ])
+    def test_mistyped_oversample_values_fail_before_the_run(self, tmp_path, oversample):
+        with pytest.raises(ParameterError):
+            run_experiment(small_config(tmp_path / "out", oversample=oversample))
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "grids",
         [

@@ -5,13 +5,10 @@ from hypothesis import given, settings, strategies as st
 from flowbalance.dataset import Dataset
 from flowbalance.errors import ParameterError
 from flowbalance import neighbors
-from flowbalance.neighbors import (
-    NeighborQuery,
-    knn,
-    knn_table,
-    standardize,
-)
-from flowbalance.oversample import enn_misclassified
+from flowbalance.neighbors import StandardizedView, knn_table, zscore
+from flowbalance.oversample import OversampleConfig, _distance_space, enn_misclassified
+
+from conftest import brute_force_knn
 
 
 def plain_dataset(features, labels=None):
@@ -24,117 +21,99 @@ def plain_dataset(features, labels=None):
     return Dataset(features, np.asarray(labels, dtype=np.int64), names)
 
 
-def brute_force_knn(scaled, i, scope_idx, k):
-    """Reference: exhaustive sort by (distance, index), self excluded."""
-    cands = [j for j in scope_idx if j != i]
-    d = [(float(np.sum((scaled[j] - scaled[i]) ** 2)), j) for j in cands]
-    d.sort()
-    return np.array([j for _, j in d[:k]], dtype=np.int64)
+def view_of(ds, raw=False):
+    """Neighbor-search view in z-scored coordinates, or in the raw ones."""
+    return StandardizedView(ds, ds.features if raw else zscore(ds.features))
+
+
+def neighbors_of(view, i, k, scope="all"):
+    """One query row's neighbor list, through the table entry point."""
+    return list(knn_table(view, [i], k, scope=scope)[0])
 
 
 class TestStandardize:
+    """Z-scoring with population statistics (``zscore``)."""
+
     def test_hand_zscores(self):
-        view = standardize(plain_dataset([1.0, 2.0, 3.0]))
+        scaled = zscore(np.array([[1.0], [2.0], [3.0]]))
         want = np.array([-1.224744871391589, 0.0, 1.224744871391589])
-        assert np.allclose(view.scaled[:, 0], want, atol=1e-12)
+        assert np.allclose(scaled[:, 0], want, atol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
-        view = standardize(plain_dataset([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
-        assert np.all(view.scaled[:, 0] == 0.0)
+        scaled = zscore(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
+        assert np.all(scaled[:, 0] == 0.0)
         want = np.array([-1.224744871391589, 0.0, 1.224744871391589])
-        assert np.allclose(view.scaled[:, 1], want, atol=1e-12)
+        assert np.allclose(scaled[:, 1], want, atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        ds = plain_dataset(rng.normal(3.0, 10.0, size=(40, 3)))
-        once = standardize(ds)
-        twice = standardize(plain_dataset(once.scaled))
-        assert np.allclose(once.scaled, twice.scaled, atol=1e-9)
+        once = zscore(rng.normal(3.0, 10.0, size=(40, 3)))
+        assert np.allclose(once, zscore(once), atol=1e-9)
 
     def test_raw_view_keeps_coordinates(self):
-        ds = plain_dataset([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        view = standardize(ds, raw=True)
-        assert np.array_equal(view.scaled, ds.features)
+        feats = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+        raw = _distance_space(feats, OversampleConfig(standardized_distances=False))
+        assert np.array_equal(raw, feats)
+        assert np.array_equal(_distance_space(feats, OversampleConfig()), zscore(feats))
 
     def test_population_statistics(self):
         rng = np.random.default_rng(5)
-        ds = plain_dataset(rng.random((100, 4)))
-        view = standardize(ds)
-        assert np.allclose(view.scaled.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(view.scaled.std(axis=0), 1.0, atol=1e-12)
-
-    def test_needs_two_rows(self):
-        with pytest.raises(ParameterError):
-            standardize(plain_dataset([1.0]))
+        scaled = zscore(rng.random((100, 4)))
+        assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(scaled.std(axis=0), 1.0, atol=1e-12)
 
 
 class TestKnn:
+    """Hand-computed neighbor lists and brute-force agreement of ``knn_table``."""
+
     def test_three_point_line(self):
-        view = standardize(plain_dataset([0.0, 1.0, 10.0]))
-        assert list(knn(view, 0, NeighborQuery(1))) == [1]
-        assert list(knn(view, 1, NeighborQuery(1))) == [0]
-        assert list(knn(view, 2, NeighborQuery(1))) == [1]
-        assert list(knn(view, 0, NeighborQuery(2))) == [1, 2]
+        view = view_of(plain_dataset([0.0, 1.0, 10.0]))
+        assert knn_table(view, [0, 1, 2], 1, scope="all").tolist() == [[1], [0], [1]]
+        assert neighbors_of(view, 0, 2) == [1, 2]
 
     def test_distance_tie_prefers_lower_index(self):
         # rows 1 and 2 are both at distance 1 from row 0
-        view = standardize(plain_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [9.0, 9.0]]),)
-        assert list(knn(view, 0, NeighborQuery(1))) == [1]
-        assert list(knn(view, 0, NeighborQuery(2))) == [1, 2]
+        view = view_of(plain_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [9.0, 9.0]]))
+        assert neighbors_of(view, 0, 1) == [1]
+        assert neighbors_of(view, 0, 2) == [1, 2]
 
     def test_duplicate_points_tie(self):
-        view = standardize(plain_dataset([2.0, 2.0, 2.0, 50.0]))
-        assert list(knn(view, 2, NeighborQuery(2))) == [0, 1]
+        view = view_of(plain_dataset([2.0, 2.0, 2.0, 50.0]))
+        assert neighbors_of(view, 2, 2) == [0, 1]
 
     def test_matches_brute_force_on_random_data(self):
         rng = np.random.default_rng(17)
-        ds = plain_dataset(rng.normal(size=(200, 5)))
-        view = standardize(ds)
+        view = view_of(plain_dataset(rng.normal(size=(200, 5))))
         scope = np.arange(200)
+        table = knn_table(view, scope, 5, scope="all")
         for i in range(200):
-            got = knn(view, i, NeighborQuery(5))
             want = brute_force_knn(view.scaled, i, scope, 5)
-            assert np.array_equal(got, want), f"row {i}"
+            assert np.array_equal(table[i], want), f"row {i}"
 
     def test_minority_scope(self):
         labels = np.array([1, 0, 1, 0, 1, 0, 1])
-        feats = np.arange(7.0)
-        view = standardize(plain_dataset(feats, labels))
-        got = knn(view, 2, NeighborQuery(2, scope="minority"))
+        view = view_of(plain_dataset(np.arange(7.0), labels))
         # minority rows are {0, 2, 4, 6}; nearest to row 2 are 0 and 4 (tie
         # in distance, lower index first)
-        assert list(got) == [0, 4]
-
-    def test_query_outside_scope(self):
-        labels = np.array([1, 0, 1, 1])
-        view = standardize(plain_dataset(np.arange(4.0), labels))
-        with pytest.raises(ParameterError):
-            knn(view, 1, NeighborQuery(1, scope="minority"))
+        assert neighbors_of(view, 2, 2, scope="minority") == [0, 4]
 
     def test_k_too_large(self):
-        view = standardize(plain_dataset(np.arange(4.0)))
-        with pytest.raises(ParameterError):
-            knn(view, 0, NeighborQuery(4))
+        view = view_of(plain_dataset(np.arange(4.0)))
         with pytest.raises(ParameterError):
             knn_table(view, np.arange(4), 4, scope="all")
-
-    def test_bad_query_params(self):
         with pytest.raises(ParameterError):
-            NeighborQuery(0)
-        with pytest.raises(ParameterError):
-            NeighborQuery(3, scope="everything")
+            knn_table(view, [0], 4, scope="all")
 
     def test_table_agrees_with_single_queries(self):
         rng = np.random.default_rng(3)
         labels = (rng.random(60) < 0.4).astype(np.int64)
         labels[:3] = 1
         labels[-3:] = 0
-        ds = plain_dataset(rng.normal(size=(60, 4)), labels)
-        view = standardize(ds)
+        view = view_of(plain_dataset(rng.normal(size=(60, 4)), labels))
         minority = view.scope_indices("minority")
         table = knn_table(view, minority, 3, scope="minority")
         for row, i in enumerate(minority):
-            assert np.array_equal(table[row], knn(view, int(i), NeighborQuery(3, scope="minority")))
+            assert list(table[row]) == neighbors_of(view, int(i), 3, scope="minority")
 
     @given(
         n=st.integers(min_value=6, max_value=500),
@@ -147,13 +126,13 @@ class TestKnn:
         rng = np.random.default_rng(seed)
         # round to a coarse grid so distance ties actually happen
         feats = np.round(rng.normal(size=(n, d)), 1)
-        view = standardize(plain_dataset(feats))
+        view = view_of(plain_dataset(feats))
         scope = np.arange(n)
         picks = rng.choice(n, size=min(n, 12), replace=False)
-        for i in picks:
-            got = knn(view, int(i), NeighborQuery(k))
+        table = knn_table(view, picks, k, scope="all")
+        for row, i in enumerate(picks):
             want = brute_force_knn(view.scaled, int(i), scope, k)
-            assert np.array_equal(got, want)
+            assert np.array_equal(table[row], want)
 
 
 def boundary_tie(scaled, i, k):
@@ -177,7 +156,7 @@ class TestLargeScope:
     @pytest.mark.parametrize("k", [1, 5])
     def test_knn_table_matches_brute_force(self, raw, k):
         ds, rng = self.grid_data(seed=k, minority_frac=0.8)
-        view = standardize(ds, raw=raw)
+        view = view_of(ds, raw=raw)
         ties = 0
         for scope in ("all", "minority"):
             scope_idx = view.scope_indices(scope)
@@ -204,7 +183,7 @@ class TestLargeScope:
     @pytest.mark.parametrize("block", [1, 4000, 50_000])
     def test_chunking_does_not_change_tables(self, monkeypatch, block):
         ds, _ = self.grid_data(seed=2)
-        view = standardize(ds)
+        view = view_of(ds)
         queries = np.arange(0, self.N, 7)
         want = knn_table(view, queries, 4, scope="all")
         monkeypatch.setattr(neighbors, "BLOCK_ELEMENTS", block)
@@ -241,7 +220,7 @@ class TestNearTiesAtLargeNorm:
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_raw_table_matches_brute_force(self, k):
-        view = standardize(self.cluster_data(), raw=True)
+        view = view_of(self.cluster_data(), raw=True)
         n = view.source.n
         table = knn_table(view, np.arange(n), k, scope="all")
         for i in range(n):
@@ -257,7 +236,7 @@ class TestRowMinimumForOneNeighbor:
         rng = np.random.default_rng(8)
         feats = np.round(rng.normal(size=(700, 3)), 1)  # ties at the first place
         labels = (rng.random(700) < 0.6).astype(np.int64)
-        view = standardize(plain_dataset(feats, labels))
+        view = view_of(plain_dataset(feats, labels))
         queries = view.scope_indices(scope)
         one = knn_table(view, queries, 1, scope=scope)
         two = knn_table(view, queries, 2, scope=scope)
@@ -269,7 +248,7 @@ class TestRowMinimumForOneNeighbor:
         # NaN; the rows are close enough that the naive distances stay finite
         rng = np.random.default_rng(5)
         feats = 1e160 + 1e148 * rng.integers(0, 30, size=(60, 2))
-        view = standardize(plain_dataset(feats), raw=True)
+        view = view_of(plain_dataset(feats), raw=True)
         with np.errstate(over="ignore", invalid="ignore"):
             table = knn_table(view, np.arange(60), k, scope="all")
         for i in range(60):

@@ -10,7 +10,7 @@ from flowbalance.errors import (
     NoBorderlineError,
     ParameterError,
 )
-from flowbalance.neighbors import NeighborQuery, _knn_block, knn, standardize, zscore
+from flowbalance.neighbors import _knn_block, zscore
 from flowbalance.oversample import (
     ORIGIN_MAJORITY,
     ORIGIN_MINORITY,
@@ -28,7 +28,13 @@ from flowbalance.oversample import (
     tomek_links,
 )
 
-from conftest import make_blob_dataset
+from conftest import brute_force_knn, make_blob_dataset
+
+
+def zscored(feats):
+    """Reference z-scores: population statistics, near-constant columns kept at scale 1."""
+    stds = np.where(feats.std(axis=0) <= 1e-12, 1.0, feats.std(axis=0))
+    return (feats - feats.mean(axis=0)) / stds
 
 
 def overlap_dataset(n_min=40, n_maj=120, seed=0):
@@ -83,9 +89,9 @@ class TestSmote:
         data = overlap_dataset()
         cfg = OversampleConfig(k=5)
         aug = smote(data, cfg, seed=5)
-        view = standardize(data)
+        scaled, minority = zscored(data.features), np.flatnonzero(data.labels == 1)
         for parent, neighbor in zip(aug.parent_idx, aug.neighbor_idx):
-            allowed = knn(view, int(parent), NeighborQuery(cfg.k, scope="minority"))
+            allowed = brute_force_knn(scaled, parent, minority, cfg.k)
             assert neighbor in allowed
             assert data.labels[parent] == 1
             assert data.labels[neighbor] == 1
@@ -128,10 +134,10 @@ class TestSmote:
 
 def brute_force_danger(data, cfg):
     """Recompute the DANGER set with a naive per-row neighbor vote."""
-    view = standardize(data)
+    scaled = zscored(data.features)
     out = []
     for i in np.flatnonzero(data.labels == 1):
-        neigh = knn(view, int(i), NeighborQuery(cfg.k, scope="all"))
+        neigh = brute_force_knn(scaled, i, np.arange(data.n), cfg.k)
         m_prime = int(np.sum(data.labels[neigh] == 0))
         if cfg.danger_band[0] * cfg.k <= m_prime < cfg.danger_band[1] * cfg.k:
             out.append(i)
@@ -168,8 +174,7 @@ class TestBorderline:
         data = Dataset(feats, labels, ("a", "b"))
         cfg = OversampleConfig(k=5)
         noise_idx = data.n - 1
-        view = standardize(data)
-        neigh = knn(view, noise_idx, NeighborQuery(5, scope="all"))
+        neigh = brute_force_knn(zscored(data.features), noise_idx, np.arange(data.n), 5)
         assert np.sum(data.labels[neigh] == 0) == 5  # it really is NOISE
         assert noise_idx not in danger_set(data, cfg)
         aug = borderline_smote(data, cfg, seed=9)
@@ -177,15 +182,10 @@ class TestBorderline:
 
 
 def brute_force_enn_removed(feats, labels, k, standardized=True):
-    means = feats.mean(axis=0)
-    stds = np.where(feats.std(axis=0) <= 1e-12, 1.0, feats.std(axis=0))
-    scaled = (feats - means) / stds if standardized else feats
+    scaled = zscored(feats) if standardized else feats
     removed = np.zeros(len(feats), dtype=bool)
     for i in range(len(feats)):
-        d = [(float(np.sum((scaled[j] - scaled[i]) ** 2)), j)
-             for j in range(len(feats)) if j != i]
-        d.sort()
-        votes = labels[[j for _, j in d[:k]]]
+        votes = labels[brute_force_knn(scaled, i, range(len(feats)), k)]
         if np.sum(votes != labels[i]) * 2 > k:
             removed[i] = True
     return removed
@@ -270,20 +270,9 @@ class TestSmoteEnn:
 
 def exhaustive_tomek_scan(feats, labels, kept):
     """All cross-class mutual-1NN pairs among kept rows, by brute force."""
-    means = feats.mean(axis=0)
-    stds = np.where(feats.std(axis=0) <= 1e-12, 1.0, feats.std(axis=0))
-    scaled = (feats - means) / stds
+    scaled = zscored(feats)
     alive = np.flatnonzero(kept)
-    nearest = {}
-    for i in alive:
-        best = None
-        for j in alive:
-            if j == i:
-                continue
-            dist = float(np.sum((scaled[j] - scaled[i]) ** 2))
-            if best is None or dist < best[0] or (dist == best[0] and j < best[1]):
-                best = (dist, j)
-        nearest[i] = best[1]
+    nearest = {i: brute_force_knn(scaled, i, alive, 1)[0] for i in alive}
     links = []
     for i in alive:
         j = nearest[i]
@@ -434,11 +423,11 @@ class TestAdaptiveQuotas:
 
 
 def brute_force_adasyn_quotas(data, cfg):
-    view = standardize(data)
+    scaled = zscored(data.features)
     minority = np.flatnonzero(data.labels == 1)
     deltas = []
     for i in minority:
-        neigh = knn(view, int(i), NeighborQuery(cfg.k, scope="all"))
+        neigh = brute_force_knn(scaled, i, np.arange(data.n), cfg.k)
         deltas.append(int(np.sum(data.labels[neigh] == 0)))
     r = np.asarray(deltas, dtype=np.float64) / cfg.k
     r_hat = r / r.sum()
@@ -543,6 +532,15 @@ class TestAugmentedSet:
             OversampleConfig(tomek_mode="keep")
         with pytest.raises(ParameterError):
             OversampleConfig(beta=0.0)
+        # mistyped values fail here with the typed error, not later in a run
+        for bad in (
+            {"k": 2.5}, {"k": True}, {"k": "5"}, {"target": 1000.5}, {"target": True},
+            {"beta": "x"}, {"beta": float("nan")}, {"beta": float("inf")},
+            {"danger_band": [0.5]}, {"danger_band": 0.5}, {"danger_band": ("0", 1)},
+            {"standardized_distances": "no"}, {"standardized_distances": 1},
+        ):
+            with pytest.raises(ParameterError):
+                OversampleConfig(**bad)
 
     @pytest.mark.parametrize("method", ["smote", "borderline", "smote_enn",
                                         "smote_tomek", "adasyn"])
