@@ -4,8 +4,9 @@ Submodules: ``dataset`` (the Dataset type, CSV I/O, sampling schemes, a
 synthetic generator), ``neighbors`` (exact standardized kNN), ``oversample``
 (interpolation-based minority augmentation), ``mixtures``/``gan``/``nets``
 (mode encodings and adversarial generators with manual backprop),
-``trees`` (CART, forest, boosting), ``evaluate`` (F1, KS, t-SNE), and
-``harness`` (the experiment matrix plus its artifacts).
+``trees`` (CART, forest, boosting), ``evaluate`` (F1, KS, t-SNE),
+``harness`` (the experiment matrix plus its artifacts), and ``schema``
+(the type and range rules every config checks its fields by).
 """
 
 __version__ = "0.1.0"

@@ -41,7 +41,8 @@ from .harness import (
     write_distribution_diagnostics,
 )
 from .oversample import ORIGIN_SYNTHETIC, OversampleConfig
-from .trees import MODEL_KINDS, check_params, fit_model
+from .schema import build
+from .trees import MODEL_CONFIGS, MODEL_KINDS, fit_model
 
 
 def _load_labeled_csv(args) -> Dataset:
@@ -61,7 +62,7 @@ def _model_params(args) -> dict:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise SchemaError(f"--params is not valid JSON: {exc}") from exc
-    check_params(args.model, params)
+    build(MODEL_CONFIGS[args.model], params, args.model)
     return params
 
 

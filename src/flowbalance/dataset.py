@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
     UndefinedImbalanceError,
 )
+from .schema import check_fields
 
 FLOW_FEATURES: tuple[str, ...] = (
     "size",
@@ -262,6 +263,19 @@ class FlowProfile:
     rtt_std: float = 0.45
     # multiplicative log10 noise tying prev_* features to the current flow
     prev_noise: float = 0.22
+
+    def __post_init__(self):
+        check_fields(self)
+        # the bounds generate_flows' draws need, checked here so a bad
+        # profile fails when it is built, not mid-run
+        stds = [self.tput_std, self.rtt_std, *(std for _, std, _ in self.size_modes)]
+        if not all(std > 0 for std in stds):
+            raise ParameterError(f"tput_std, rtt_std and size-mode stds must be > 0, got {stds}")
+        if not self.prev_noise >= 0:
+            raise ParameterError(f"prev_noise must be at least 0, got {self.prev_noise}")
+        weights = [weight for _, _, weight in self.size_modes]
+        if not (all(w >= 0 for w in weights) and sum(weights) > 0):
+            raise ParameterError(f"size-mode weights must be >= 0 and sum above 0, got {weights}")
 
     @property
     def unimodal_features(self) -> tuple[str, ...]:

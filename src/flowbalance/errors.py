@@ -6,7 +6,8 @@ class FlowBalanceError(Exception):
 
 
 class SchemaError(FlowBalanceError):
-    """A required column is missing or feature schemas disagree."""
+    """A config has an unknown key or a value of the wrong type, a required
+    column is missing, or feature schemas disagree."""
 
 
 class ParseError(FlowBalanceError):

@@ -26,6 +26,7 @@ from .errors import InsufficientMinorityError, ParameterError, TrainingDivergedE
 from .evaluate import write_csv
 from .mixtures import MinMaxNormalizer, ModeNormalizer
 from .nets import FeedforwardNet, MixedActivation, SgdMomentum, sigmoid
+from .schema import check_fields, check_least
 
 
 def softplus(s: np.ndarray) -> np.ndarray:
@@ -47,20 +48,18 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_dim < 1 or self.batch_size < 1 or self.epochs < 1:
-            raise ParameterError("noise_dim, batch_size, and epochs must be positive")
-        if self.d_steps < 1:
-            raise ParameterError("d_steps must be at least 1")
-        if not self.hidden:
-            raise ParameterError("need at least one hidden layer")
-        # the bounds SgdMomentum and ModeNormalizer.fit put on these, checked
+        check_fields(self)
+        # the bounds the nets, SgdMomentum and ModeNormalizer.fit need, checked
         # here so a bad value fails when the config is built, not mid-run
+        check_least(
+            self, ParameterError, noise_dim=1, batch_size=1, epochs=1, d_steps=1, max_modes=1
+        )
+        if not self.hidden or min(self.hidden) < 1:
+            raise ParameterError(f"need hidden layers of at least 1 unit, got {self.hidden}")
         if not self.lr > 0:
             raise ParameterError(f"lr must be positive, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.max_modes < 1:
-            raise ParameterError(f"max_modes must be at least 1, got {self.max_modes}")
 
 
 @dataclass(frozen=True)

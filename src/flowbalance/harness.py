@@ -27,16 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DEFAULT_PROFILE, Dataset, FlowProfile, generate_flows, load_csv, partition
+from .dataset import Dataset, FlowProfile, generate_flows, load_csv, partition
 from .errors import FlowBalanceError, ParameterError, SchemaError
 from .evaluate import f1_score, ks_report, log_histograms, tsne, write_csv
 from .gan import GanConfig, train_ctgan, train_gan
 from .oversample import (
-    ORIGIN_MINORITY, ORIGIN_NAMES, ORIGIN_SYNTHETIC, OversampleConfig, _is_int, oversample,
-    stack_synthetic,
+    ORIGIN_MINORITY, ORIGIN_NAMES, ORIGIN_SYNTHETIC, OversampleConfig, oversample, stack_synthetic,
 )
+from .schema import build, check_fields, check_least
 from .svg import Series, line_chart, scatter_chart
-from .trees import MODEL_CONFIGS, MODEL_KINDS, HyperGrid, check_params, fit_model, grid_search
+from .trees import MODEL_CONFIGS, MODEL_KINDS, HyperGrid, fit_model, grid_search
 
 METHOD_ORDER = (
     "none", "smote", "borderline", "smote_enn", "smote_tomek", "adasyn", "gan", "ctgan",
@@ -64,27 +64,6 @@ def _ir_label(ir: float) -> str:
     return f"{ir:g}"
 
 
-def _tuples(value):
-    """``value`` with every list in it, at any depth, made a tuple."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_tuples(v) for v in value)
-    return value
-
-
-def _section(base, overrides, name: str):
-    """``base``, a frozen config, with a config section's overrides applied.
-
-    Unknown keys raise SchemaError; ``base``'s class raises its own typed
-    error for a value it rejects.
-    """
-    if not isinstance(overrides, dict):
-        raise SchemaError(f"{name} must map parameter names to values")
-    unknown = set(overrides) - {f.name for f in dataclasses.fields(base)}
-    if unknown:
-        raise SchemaError(f"unknown {name} keys: {sorted(unknown)}")
-    return dataclasses.replace(base, **{k: _tuples(v) for k, v in overrides.items()})
-
-
 @dataclass(frozen=True)
 class DataConfig:
     """Where the population comes from: a generated profile or a CSV."""
@@ -98,21 +77,21 @@ class DataConfig:
     slow_threshold: float | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.source not in ("generated", "csv"):
             raise SchemaError(f"unknown data source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise SchemaError("csv source needs csv_path")
         # the bounds generate_flows puts on a generated population
-        if not _is_int(self.n_total) or self.n_total < 10:
-            raise SchemaError(f"n_total must be an integer of at least 10, got {self.n_total!r}")
-        if not isinstance(self.population_ir, (int, float)) or not 0 < self.population_ir <= 1:
-            raise SchemaError(f"population_ir must be in (0, 1], got {self.population_ir!r}")
+        check_least(self, SchemaError, n_total=10)
+        if not 0 < self.population_ir <= 1:
+            raise SchemaError(f"population_ir must be in (0, 1], got {self.population_ir}")
         self.flow_profile  # built now, so a bad profile fails here and not mid-run
 
     @cached_property
     def flow_profile(self) -> FlowProfile:
-        """The generator profile: ``DEFAULT_PROFILE`` with ``profile`` applied."""
-        return _section(DEFAULT_PROFILE, self.profile, "profile")
+        """The generator profile: the default one with ``profile`` applied."""
+        return build(FlowProfile, self.profile, "profile")
 
 
 @dataclass(frozen=True)
@@ -128,61 +107,51 @@ class ExperimentConfig:
     n_folds: int = 3
     oversample: dict = field(default_factory=dict)
     gan: dict = field(default_factory=dict)
-    grids: dict = field(default_factory=dict)
+    # classifier kind -> parameter name -> the values searched
+    grids: dict[str, dict[str, tuple]] = field(default_factory=dict)
     tsne_cap: int = 450
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        check_fields(self)
         if self.schema_version != SCHEMA_VERSION:
             raise SchemaError(
                 f"config schema version {self.schema_version} is not supported "
                 f"(expected {SCHEMA_VERSION})"
             )
-        if not isinstance(self.data, DataConfig):
-            raise SchemaError(f"data must be a DataConfig, got {self.data!r}")
         for name in ("methods", "classifiers", "train_irs", "seeds"):
-            values = getattr(self, name)
-            if not isinstance(values, (list, tuple)) or not values:
-                raise SchemaError(f"{name} must be a non-empty list, got {values!r}")
-        for m in self.methods:
-            if m not in METHOD_ORDER:
-                raise SchemaError(f"unknown method {m!r}")
-        for c in self.classifiers:
-            if c not in MODEL_KINDS:
-                raise SchemaError(f"unknown classifier {c!r}")
+            if not getattr(self, name):
+                raise SchemaError(f"{name} must not be empty")
+        for name, known in (("methods", METHOD_ORDER), ("classifiers", MODEL_KINDS)):
+            unknown = set(getattr(self, name)) - set(known)
+            if unknown:
+                raise SchemaError(f"unknown {name}: {sorted(unknown)}")
         for ir in self.train_irs:
-            if not isinstance(ir, (int, float)) or not 0.0 < ir <= 1.0:
+            if not 0.0 < ir <= 1.0:
                 raise SchemaError(f"imbalance ratio {ir!r} outside (0, 1]")
-        if not all(_is_int(seed) for seed in self.seeds):
-            raise SchemaError(f"seeds must be integers, got {self.seeds!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise SchemaError("test_fraction must be in (0, 1)")
-        for name, least in (("train_minority", 1), ("n_folds", 2), ("tsne_cap", 1)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise SchemaError(f"{name} must be an integer of at least {least}, got {value!r}")
-        if not isinstance(self.grids, dict):
-            raise SchemaError("grids must map classifier kinds to parameter grids")
+        check_least(self, SchemaError, train_minority=1, n_folds=2, tsne_cap=1)
         for kind, axes in self.grids.items():
             if kind not in MODEL_CONFIGS:
                 raise SchemaError(f"unknown grid kind {kind!r}")
-            if not isinstance(axes, dict):
-                raise SchemaError(f"grid for {kind!r} must map parameter names to value lists")
             for name, values in axes.items():
-                if not isinstance(values, (list, tuple)) or not values:
-                    raise SchemaError(f"{kind} grid axis {name!r} must be a non-empty list")
+                if not values:
+                    raise SchemaError(f"{kind} grid axis {name!r} must not be empty")
                 for value in values:
-                    check_params(kind, {name: value})
+                    build(MODEL_CONFIGS[kind], {name: value}, f"{kind} grid")
+        if "seed" in self.gan:
+            raise SchemaError("gan.seed is not a key: the seed comes from the cell coordinates")
         # built now, so a bad section fails here and not mid-run
         self.oversample_config, self.gan_config
 
     @cached_property
     def oversample_config(self) -> OversampleConfig:
-        return _section(OversampleConfig(), self.oversample, "oversample")
+        return build(OversampleConfig, self.oversample, "oversample")
 
     @cached_property
     def gan_config(self) -> GanConfig:
-        return _section(GanConfig(), self.gan, "gan")
+        return build(GanConfig, self.gan, "gan")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -196,17 +165,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = {key: _tuples(value) for key, value in raw.items()}
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(raw.get("data"), dict):
-            raw["data"] = _section(DataConfig(), raw["data"], "data")
+        raw = dict(raw)
+        if "data" in raw:
+            raw["data"] = build(DataConfig, raw["data"], "data")
         # ratios stay floats, so a config that writes 1 hashes like one that writes 1.0
-        if isinstance(raw.get("train_irs"), tuple):
-            raw["train_irs"] = tuple(float(v) if _is_int(v) else v for v in raw["train_irs"])
-        return cls(**raw)
+        if isinstance(raw.get("train_irs"), (list, tuple)):
+            raw["train_irs"] = [float(v) if type(v) is int else v for v in raw["train_irs"]]
+        return build(cls, raw, "config")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -262,6 +227,11 @@ class ExperimentReport:
     @property
     def failed(self) -> tuple[CellResult, ...]:
         return tuple(r for r in self.cells if r.error is not None)
+
+    @property
+    def stamp(self) -> str:
+        """What the SVG charts are stamped with."""
+        return f"config_hash={self.config_hash} version={self.version}"
 
 
 DEFAULT_GRIDS: dict[str, tuple[tuple[str, tuple], ...]] = {
@@ -474,8 +444,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
         best_params[kind] = result.best_params
         grid_rows[kind] = [
-            {"params": params, "fold_f1": list(scores), "mean_f1": float(np.mean(scores))}
-            for params, scores in result.rows
+            {"params": params, "fold_f1": list(scores), "mean_f1": result.mean_f1(i)}
+            for i, (params, scores) in enumerate(result.rows)
         ]
 
     cells = _enumerate_cells(config)
@@ -540,8 +510,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # it failed, its cells already carry the error; the report completes.
         written = _attempt(
             "diagnostics", write_distribution_diagnostics, diag_set, baseline.feature_names, out,
-            config.seeds[-1], config.tsne_cap, _diagnostics_method(config),
-            f"config_hash={report.config_hash} version={report.version}",
+            config.seeds[-1], config.tsne_cap, _diagnostics_method(config), report.stamp,
         )
         if isinstance(written, _Failure):
             print(f"diagnostics skipped: {written}", file=sys.stderr)
@@ -694,14 +663,14 @@ def emit_ir_sweep_plot(
         "imbalance ratio (minority/majority)",
         "median F1",
     )
-    (out / "ir_sweep.svg").write_text(_stamp_svg(svg, report))
+    (out / "ir_sweep.svg").write_text(_stamp_svg(svg, report.stamp))
     written.append("ir_sweep.svg")
     return written
 
 
-def _stamp_svg(svg: str, report: ExperimentReport) -> str:
-    comment = f"<!-- config_hash={report.config_hash} version={report.version} -->\n"
-    return comment + svg
+def _stamp_svg(svg: str, stamp: str) -> str:
+    """``svg`` under an XML comment holding ``stamp``; unchanged if it is empty."""
+    return (f"<!-- {stamp} -->\n" if stamp else "") + svg
 
 
 def write_distribution_diagnostics(
@@ -770,8 +739,7 @@ def write_distribution_diagnostics(
     svg = scatter_chart(
         clouds, f"t-SNE of {method}-balanced training rows", "dim 1", "dim 2"
     )
-    text = (f"<!-- {stamp} -->\n" if stamp else "") + svg
-    (out / "embedding.svg").write_text(text)
+    (out / "embedding.svg").write_text(_stamp_svg(svg, stamp))
     return ["ks_report.csv", "histograms.csv", "embedding.csv", "embedding.svg"]
 
 

@@ -33,6 +33,7 @@ from .errors import (
     ParameterError,
 )
 from .neighbors import StandardizedView, _knn_block, knn_table, zscore
+from .schema import check_fields, check_least
 
 ORIGIN_MAJORITY = 0
 ORIGIN_MINORITY = 1
@@ -40,15 +41,6 @@ ORIGIN_SYNTHETIC = 2
 ORIGIN_NAMES = {
     ORIGIN_MAJORITY: "majority", ORIGIN_MINORITY: "minority", ORIGIN_SYNTHETIC: "synthetic",
 }
-
-
-# bool is an int subclass, so both rule it out by name
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -74,18 +66,13 @@ class OversampleConfig:
     standardized_distances: bool = True
 
     def __post_init__(self):
-        if not _is_int(self.k) or self.k < 1:
-            raise ParameterError(f"k must be an integer of at least 1, got {self.k!r}")
-        if self.target is not None and not _is_int(self.target):
-            raise ParameterError(f"target must be an integer or None, got {self.target!r}")
-        if not _is_real(self.beta) or not 0 < self.beta < np.inf:
-            raise ParameterError(f"beta must be a finite real above 0, got {self.beta!r}")
-        band = self.danger_band
-        if not (isinstance(band, (tuple, list)) and len(band) == 2 and all(map(_is_real, band))
-                and 0 <= band[0] < band[1] <= 1):
-            raise ParameterError(f"danger_band must be reals with 0 <= lo < hi <= 1, got {band!r}")
-        if not isinstance(self.standardized_distances, bool):
-            raise ParameterError("standardized_distances must be true or false")
+        check_fields(self)
+        check_least(self, ParameterError, k=1)
+        if not 0 < self.beta < np.inf:
+            raise ParameterError(f"beta must be a finite real above 0, got {self.beta}")
+        lo, hi = self.danger_band
+        if not 0 <= lo < hi <= 1:
+            raise ParameterError(f"danger_band must have 0 <= lo < hi <= 1, got {self.danger_band}")
         if self.enn_mode not in ("standard", "paper-literal"):
             raise ParameterError(f"unknown enn_mode {self.enn_mode!r}")
         if self.tomek_mode not in ("remove-majority", "remove-both"):

@@ -16,25 +16,20 @@ level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evaluate
-from .errors import ParameterError, SchemaError, ShapeError
+from .errors import ParameterError, ShapeError
 from .nets import sigmoid
+from .schema import build, check_fields, check_least
 
 _EPS = 1e-12
 
 
-def _check_growth(config) -> None:
-    """The range rules every tree-growing config shares."""
-    if config.max_depth < 0:
-        raise ParameterError(f"max_depth must be >= 0, got {config.max_depth}")
-    if config.min_samples_leaf < 1:
-        raise ParameterError(f"min_samples_leaf must be >= 1, got {config.min_samples_leaf}")
-    if config.min_samples_split < 2:
-        raise ParameterError(f"min_samples_split must be >= 2, got {config.min_samples_split}")
+# the least values every tree-growing config shares
+_GROWTH = {"max_depth": 0, "min_samples_leaf": 1, "min_samples_split": 2}
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,8 @@ class TreeConfig:
     min_samples_split: int = 2
 
     def __post_init__(self):
-        _check_growth(self)
+        check_fields(self)
+        check_least(self, ParameterError, **_GROWTH)
 
 
 @dataclass(frozen=True)
@@ -59,9 +55,8 @@ class ForestConfig:
     bootstrap: bool = True
 
     def __post_init__(self):
-        _check_growth(self)
-        if self.n_trees < 1:
-            raise ParameterError(f"n_trees must be >= 1, got {self.n_trees}")
+        check_fields(self)
+        check_least(self, ParameterError, **_GROWTH, n_trees=1)
         if self.n_features is not None and self.n_features < 1:
             raise ParameterError(f"n_features must be >= 1, got {self.n_features}")
 
@@ -75,9 +70,8 @@ class BoostConfig:
     min_samples_split: int = 2
 
     def __post_init__(self):
-        _check_growth(self)
-        if self.n_rounds < 0:
-            raise ParameterError(f"n_rounds must be >= 0, got {self.n_rounds}")
+        check_fields(self)
+        check_least(self, ParameterError, **_GROWTH, n_rounds=0)
         if not self.learning_rate > 0:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -393,34 +387,11 @@ def fit_boost(
 MODEL_CONFIGS = {"tree": TreeConfig, "forest": ForestConfig, "boost": BoostConfig}
 MODEL_KINDS = tuple(MODEL_CONFIGS)
 
-# value types by the type of the parameter's default (n_features: int or None)
-_PARAM_TYPES = {bool: (bool,), int: (int,), float: (int, float), type(None): (int, type(None))}
-
-
-def check_params(kind: str, params):
-    """The ``kind`` config with ``params`` applied.
-
-    Raises SchemaError unless ``params`` maps parameters of the config to
-    values of their types, and ParameterError for a value out of range.
-    """
-    if not isinstance(params, dict):
-        raise SchemaError(f"{kind} parameters must map parameter names to values")
-    defaults = {f.name: f.default for f in fields(MODEL_CONFIGS[kind])}
-    for name, value in params.items():
-        if name not in defaults:
-            raise SchemaError(f"unknown {kind} parameter {name!r}")
-        types = _PARAM_TYPES[type(defaults[name])]
-        # bool is an int subclass, so it fits only bool parameters
-        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
-            raise SchemaError(f"{kind} value {value!r} does not fit {name!r}")
-    return MODEL_CONFIGS[kind](**params)
-
-
 def fit_model(kind: str, features: np.ndarray, labels: np.ndarray, params: dict, seed: int = 0):
     """Fit a classifier by name with keyword overrides of its defaults."""
     if kind not in MODEL_CONFIGS:
         raise ParameterError(f"unknown model kind {kind!r}")
-    config = check_params(kind, params)
+    config = build(MODEL_CONFIGS[kind], params, kind)
     if kind == "tree":
         return fit_tree(features, labels, config)
     if kind == "forest":

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import types
+import typing
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 from flowbalance.cli import main
-from flowbalance.dataset import generate_flows, save_csv
+from flowbalance.dataset import FlowProfile, generate_flows, save_csv
 from flowbalance.errors import ParameterError, SchemaError
-from flowbalance.oversample import oversample
+from flowbalance.gan import GanConfig
+from flowbalance.oversample import OversampleConfig, oversample
+from flowbalance.trees import BoostConfig, ForestConfig, TreeConfig
 from flowbalance.harness import (
     Cell,
     CellResult,
@@ -93,6 +97,15 @@ class TestExperimentConfig:
             {"seeds": [0.5]},
             {"train_irs": ["x"]},
             {"methods": "smote"},
+            {"test_fraction": "0.3"},
+            {"gan": {"epochs": 2.5}},
+            {"gan": {"epochs": "5"}},
+            {"gan": {"batch_size": 8.5}},
+            {"gan": {"noise_dim": True}},
+            {"gan": {"seed": 5}},
+            {"data": {"profile": {"separation": "x"}}},
+            {"grids": {"tree": {"max_depth": [2.5]}}},
+            {"grids": {"forest": {"bootstrap": ["no"]}}},
         ],
     )
     def test_invalid_fields_rejected(self, bad):
@@ -129,8 +142,24 @@ class TestExperimentConfig:
         {"danger_band": [0.5]}, {"standardized_distances": "no"},
     ])
     def test_mistyped_oversample_values_fail_before_the_run(self, tmp_path, oversample):
-        with pytest.raises(ParameterError):
+        with pytest.raises(SchemaError):
             run_experiment(small_config(tmp_path / "out", oversample=oversample))
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("section", [
+        {"data": {"profile": {"tput_std": -1.0}}},
+        {"data": {"profile": {"rtt_std": 0.0}}},
+        {"data": {"profile": {"size_modes": [[5.0, 0.0, 1.0]]}}},
+        {"data": {"profile": {"size_modes": [[5.0, 0.5, -1.0], [8.0, 0.5, 2.0]]}}},
+        {"data": {"profile": {"size_modes": [[5.0, 0.5, 0.0]]}}},
+        {"data": {"profile": {"size_modes": []}}},
+        {"data": {"profile": {"prev_noise": -0.1}}},
+        {"gan": {"hidden": [0]}},
+        {"gan": {"hidden": [8, -2]}},
+    ])
+    def test_out_of_range_section_values_fail_before_the_run(self, tmp_path, section):
+        with pytest.raises(ParameterError):
+            run_experiment(ExperimentConfig.from_dict({"out_dir": str(tmp_path / "out"), **section}))
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -186,6 +215,61 @@ class TestExperimentConfig:
         b = small_config(tmp_path, seeds=(0, 2))
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == small_config(tmp_path).config_hash()
+
+
+# each config class, and how an ExperimentConfig dict reaches one of its fields
+CONFIG_ROUTES = {
+    ExperimentConfig: lambda name, value: {name: value},
+    DataConfig: lambda name, value: {"data": {name: value}},
+    FlowProfile: lambda name, value: {"data": {"profile": {name: value}}},
+    OversampleConfig: lambda name, value: {"oversample": {name: value}},
+    GanConfig: lambda name, value: {"gan": {name: value}},
+    TreeConfig: lambda name, value: {"grids": {"tree": {name: [value]}}},
+    ForestConfig: lambda name, value: {"grids": {"forest": {name: [value]}}},
+    BoostConfig: lambda name, value: {"grids": {"boost": {name: [value]}}},
+}
+
+
+def mistyped(hint) -> list:
+    """Values not of type ``hint``: a str or a bool for a number, a float for
+    an int, a number for a str or a bool."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None: what is wrong for X
+        (inner,) = [a for a in args if a is not type(None)]
+        return mistyped(inner)
+    if origin is tuple:
+        inner = mistyped(args[0])
+        if args[-1] is Ellipsis:
+            return ["x", 1, *((v,) for v in inner)]
+        return ["x", 1, (0.5,) * (len(args) - 1), *(tuple(v for _ in args) for v in inner)]
+    if hint is int:
+        return ["1", 1.5, True]
+    if hint is float:
+        return ["1", True]
+    if hint is bool:
+        return [1, "yes"]
+    if hint is str:
+        return [1, 1.5]
+    return ["x", 1]  # a dict or a DataConfig
+
+
+MISTYPED = [
+    pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+    for cls in CONFIG_ROUTES
+    for f in dataclasses.fields(cls)
+    for value in mistyped(typing.get_type_hints(cls)[f.name])
+]
+
+
+@pytest.mark.parametrize("cls, name, value", MISTYPED)
+def test_every_config_field_rejects_a_mistyped_value(tmp_path, cls, name, value):
+    out_dir = str(tmp_path / "out")
+    required = {"out_dir": out_dir} if cls is ExperimentConfig else {}
+    with pytest.raises(SchemaError):
+        cls(**{**required, name: value})
+    with pytest.raises(SchemaError):
+        run_experiment(ExperimentConfig.from_dict({"out_dir": out_dir, **CONFIG_ROUTES[cls](name, value)}))
+    assert not any(tmp_path.iterdir())
 
 
 class TestDeriveSeed:

@@ -9,6 +9,7 @@ from flowbalance.errors import (
     InsufficientMinorityError,
     NoBorderlineError,
     ParameterError,
+    SchemaError,
 )
 from flowbalance.neighbors import _knn_block, zscore
 from flowbalance.oversample import (
@@ -530,16 +531,17 @@ class TestAugmentedSet:
             OversampleConfig(enn_mode="aggressive")
         with pytest.raises(ParameterError):
             OversampleConfig(tomek_mode="keep")
-        with pytest.raises(ParameterError):
-            OversampleConfig(beta=0.0)
+        for beta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                OversampleConfig(beta=beta)
         # mistyped values fail here with the typed error, not later in a run
         for bad in (
             {"k": 2.5}, {"k": True}, {"k": "5"}, {"target": 1000.5}, {"target": True},
-            {"beta": "x"}, {"beta": float("nan")}, {"beta": float("inf")},
+            {"beta": "x"},
             {"danger_band": [0.5]}, {"danger_band": 0.5}, {"danger_band": ("0", 1)},
             {"standardized_distances": "no"}, {"standardized_distances": 1},
         ):
-            with pytest.raises(ParameterError):
+            with pytest.raises(SchemaError):
                 OversampleConfig(**bad)
 
     @pytest.mark.parametrize("method", ["smote", "borderline", "smote_enn",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flowbalance.dataset import generate_flows
 from flowbalance.errors import ParameterError, SchemaError, ShapeError, StratificationError
 from flowbalance.evaluate import cross_val_f1, f1_score
+from flowbalance.schema import build
 from flowbalance.trees import (
     MODEL_CONFIGS,
     BoostConfig,
@@ -20,7 +21,6 @@ from flowbalance.trees import (
     RandomForest,
     TreeConfig,
     _best_split,
-    check_params,
     fit_boost,
     fit_forest,
     fit_model,
@@ -363,7 +363,10 @@ class TestFitModel:
             ("tree", {"max_depth": "a"}),
             ("tree", {"max_depth": 2.5}),
             ("forest", {"bootstrap": 1}),
+            ("forest", {"bootstrap": "no"}),
+            ("forest", {"n_features": 1.5}),
             ("boost", {"n_rounds": True}),
+            ("boost", {"learning_rate": "0.1"}),
             ("tree", [1]),
         ],
     )
@@ -388,16 +391,16 @@ class TestFitModel:
     )
     def test_out_of_range_params_rejected_when_the_config_is_built(self, kind, params):
         with pytest.raises(ParameterError):
-            check_params(kind, params)
+            build(MODEL_CONFIGS[kind], params, kind)
         with pytest.raises(ParameterError):
             MODEL_CONFIGS[kind](**params)
 
     def test_edge_values_stay_legal(self):
-        assert check_params("tree", {"max_depth": 0, "min_samples_split": 2}) == TreeConfig(
+        assert build(TreeConfig, {"max_depth": 0, "min_samples_split": 2}, "tree") == TreeConfig(
             max_depth=0, min_samples_split=2
         )
-        assert check_params("boost", {"n_rounds": 0}).n_rounds == 0
-        assert check_params("forest", {"n_features": 1}).n_features == 1
+        assert build(BoostConfig, {"n_rounds": 0}, "boost").n_rounds == 0
+        assert build(ForestConfig, {"n_features": 1}, "forest").n_features == 1
 
 
 class TestHyperGrid:
